@@ -1,19 +1,10 @@
-// Scaling benchmark for the island-model NSGA-II layer (docs/SCALING.md):
-// fcCLR on synthetic TGFF graphs at 500/1000/2000 tasks, single population
-// vs 4 islands at the *same* logical evaluation budget (pop x gens; island
-// migration copies evaluated individuals, it never re-evaluates). For each
-// configuration the per-generation/per-epoch progress hook records true
-// hypervolume-vs-evaluations (and vs wall-clock) curves under a reference
-// point shared by both runs, so the JSON answers the two questions that
-// matter at scale:
-//   * throughput — total wall-clock at equal budget (wall_ratio_equal_budget)
-//   * convergence — wall-clock for the island run to first match the
-//     single-population run's final hypervolume (speedup_wall_to_single_hv),
-//     the Quan & Pimentel bias-elitist effect the island model exists for.
-// Emits BENCH_scale.json; scripts/check_bench.py validates the schema and
-// soft-gates the headline speedup, scripts/plot_results.py renders the
-// curves. The smallest size also cross-checks that --islands 1 through the
-// island entry point is bit-identical to the plain run_nsga2 path.
+// End-to-end scaling benchmark of the single-population fcCLR search
+// (docs/SCALING.md): synthetic TGFF graphs at 500/1000/2000 tasks, one
+// NSGA-II population each. Per size it records the search wall time, the
+// evaluation count and the true hypervolume-vs-evaluations curve (every
+// generation's feasible first front under one reference point per size),
+// ending in the final front's hypervolume. Emits BENCH_scale.json;
+// scripts/check_bench.py validates the schema.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -25,9 +16,7 @@
 #include "app/characterizer.hpp"
 #include "core/dse.hpp"
 #include "core/experiment.hpp"
-#include "core/heuristics.hpp"
 #include "moea/hypervolume.hpp"
-#include "moea/island.hpp"
 #include "platform/architecture.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"
@@ -58,12 +47,10 @@ struct ScaleRun {
 };
 
 /// One timed fcCLR search. The problem (Markov-table construction) is built
-/// outside the timed region — construction cost is identical for both
-/// configurations and is reported separately by bench_eval_throughput — so
-/// the clock measures the search itself.
+/// outside the timed region — its cost is reported separately by
+/// bench_eval_throughput — so the clock measures the search itself.
 ScaleRun timed_run(const core::DseMethodology& methodology,
-                   core::DseOptions options, std::size_t islands) {
-  options.island.islands = islands;
+                   core::DseOptions options) {
   const core::ClrMappingProblem problem =
       methodology.build_fcclr_problem(options);
   ScaleRun run;
@@ -82,31 +69,6 @@ ScaleRun timed_run(const core::DseMethodology& methodology,
   return run;
 }
 
-/// Cross-check that run_island_nsga2 with islands == 1 reproduces the plain
-/// run_nsga2 path bit for bit (same seeding, same RNG stream): identical
-/// evaluation counts and identical final front objective vectors.
-bool islands1_bit_identical(const core::DseMethodology& methodology,
-                            const core::DseOptions& options) {
-  const core::ClrMappingProblem problem =
-      methodology.build_fcclr_problem(options);
-  const auto ops = problem.ops(options.ga.mutation_indpb);
-  std::vector<core::MappingGenome> seeds;
-  seeds.push_back(core::heft_clr_mapping(problem).genome);
-
-  util::Rng direct_rng(options.seed);
-  const auto direct =
-      moea::run_nsga2(options.ga, ops, direct_rng, {seeds[0]});
-
-  moea::IslandParams single;
-  single.islands = 1;
-  util::Rng island_rng(options.seed);
-  const auto via_island = moea::run_island_nsga2(options.ga, single, ops,
-                                                 island_rng, std::move(seeds));
-  if (direct.evaluations != via_island.evaluations) return false;
-  if (direct.front_objectives() != via_island.front_objectives()) return false;
-  return true;
-}
-
 util::JsonValue curve_json(const std::vector<CurvePoint>& curve) {
   util::JsonArray out;
   for (const CurvePoint& point : curve) {
@@ -119,29 +81,18 @@ util::JsonValue curve_json(const std::vector<CurvePoint>& curve) {
   return util::JsonValue(std::move(out));
 }
 
-util::JsonValue run_json(const ScaleRun& run, double final_hv) {
-  return util::JsonValue(
-      util::JsonObject{{"wall_seconds", run.wall_seconds},
-                       {"evaluations", run.evaluations},
-                       {"hypervolume", final_hv},
-                       {"curve", curve_json(run.curve)}});
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   util::ArgParser args("bench_scale",
-                       "island-model NSGA-II scaling on 500/1000/2000-task "
+                       "single-population fcCLR scaling on 500/1000/2000-task "
                        "TGFF graphs (emits BENCH_scale.json)");
-  args.option("population", "GA population size (shared by both configs)",
-              "256")
-      .option("generations", "GA generations (shared by both configs)", "60")
-      .option("compare-islands", "island count of the sharded configuration",
-              "4")
+  args.option("population", "GA population size", "256")
+      .option("generations", "GA generations", "60")
       .option("tasks", "comma-separated TGFF graph sizes", "500,1000,2000")
       .option("seed", "GA seed", "11")
       .flag("no-heuristic-seed",
-            "start from random populations instead of the HEFT design")
+            "start from a random population instead of the HEFT design")
       .option("out", "output JSON path", "BENCH_scale.json");
   if (!util::parse_standard_args(args, argc, argv, util::LogLevel::Warn)) {
     return 0;
@@ -172,116 +123,48 @@ int main(int argc, char** argv) {
     ga.population_size = std::min<std::size_t>(ga.population_size, 24);
     ga.generations = std::min<std::size_t>(ga.generations, 10);
   }
-  const std::size_t compare_islands = args.get_uint("compare-islands");
-  // The island run migrates at the interval/size set by the standard
-  // --migration-interval/--migration-size options; the bench defaults to a
-  // denser exchange than the CLI (every 5 generations, 16 emigrants) — the
-  // best convergence-per-wall configuration from the docs/SCALING.md scan —
-  // which also gives the epoch curves enough points.
-  moea::IslandParams migration = moea::island_params_from_args(args);
-  if (!args.has("migration-interval")) migration.migration_interval = 5;
-  if (!args.has("migration-size")) migration.migration_size = 16;
 
   core::DseOptions options;
   options.ga = ga;
-  options.island = migration;
   options.seed = args.get_uint("seed");
-  // Both configs start from the HEFT design unless disabled.
   options.heuristic_seed = !args.has("no-heuristic-seed");
 
   const platform::Architecture arch = platform::Architecture::paper_default();
   const reliability::TaskAnalyzer analyzer =
       reliability::TaskAnalyzer::paper_default();
 
-  std::printf(
-      "=== scale: fcCLR, pop %zu x %zu generations, 1 vs %zu islands "
-      "(migration every %zu gens, %zu emigrants) ===\n",
-      ga.population_size, ga.generations, compare_islands,
-      migration.migration_interval, migration.migration_size);
+  std::printf("=== scale: fcCLR, pop %zu x %zu generations ===\n",
+              ga.population_size, ga.generations);
 
   util::JsonArray size_reports;
-  bool bit_identical = true;
-  double headline_speedup = 0.0;
-  double headline_hv_ratio = 0.0;
   for (std::size_t tasks : sizes) {
     const app::Application application =
         app::make_synthetic_application(tasks, 10, kAppSeedBase + tasks);
     const core::DseMethodology methodology(application, arch, analyzer);
+    ScaleRun run = timed_run(methodology, options);
 
-    if (tasks == sizes.front()) {
-      bit_identical = islands1_bit_identical(methodology, options);
-    }
-
-    const ScaleRun single = timed_run(methodology, options, 1);
-    const ScaleRun sharded = timed_run(methodology, options, compare_islands);
-
-    // Hypervolume under one reference shared by every snapshot of both
-    // runs, so curve points and final fronts are directly comparable.
+    // Hypervolume under one reference shared by every snapshot of the run,
+    // so the curve points are directly comparable.
     std::vector<std::vector<moea::Objectives>> fronts;
-    for (const ScaleRun* run : {&single, &sharded}) {
-      for (const CurvePoint& point : run->curve) {
-        if (!point.front.empty()) fronts.push_back(point.front);
-      }
+    for (const CurvePoint& point : run.curve) {
+      if (!point.front.empty()) fronts.push_back(point.front);
     }
     const moea::Objectives reference = moea::common_reference(fronts);
-    auto fill_hv = [&](ScaleRun& run) {
-      for (CurvePoint& point : run.curve) {
-        if (!point.front.empty()) {
-          point.hypervolume = moea::hypervolume(point.front, reference);
-        }
-      }
-    };
-    ScaleRun single_hv = single;
-    ScaleRun sharded_hv = sharded;
-    fill_hv(single_hv);
-    fill_hv(sharded_hv);
-    const double hv_single = single_hv.curve.back().hypervolume;
-    const double hv_sharded = sharded_hv.curve.back().hypervolume;
-
-    // Convergence speedup: first island-run snapshot whose hypervolume
-    // matches the single-population run's final front.
-    double time_to_single_hv = -1.0;
-    std::size_t evals_to_single_hv = 0;
-    for (const CurvePoint& point : sharded_hv.curve) {
-      if (point.hypervolume >= hv_single) {
-        time_to_single_hv = point.wall_seconds;
-        evals_to_single_hv = point.evaluations;
-        break;
+    for (CurvePoint& point : run.curve) {
+      if (!point.front.empty()) {
+        point.hypervolume = moea::hypervolume(point.front, reference);
       }
     }
-    const double wall_ratio = single.wall_seconds / sharded.wall_seconds;
-    const double speedup = time_to_single_hv > 0.0
-                               ? single.wall_seconds / time_to_single_hv
-                               : 0.0;
-    const double hv_ratio = hv_single > 0.0 ? hv_sharded / hv_single : 0.0;
-    const bool equal_budget = single.evaluations == sharded.evaluations;
+    const double hv = run.curve.back().hypervolume;
+    std::printf("%zu tasks: %.2fs, %zu evals, hv %.4g\n", tasks,
+                run.wall_seconds, run.evaluations, hv);
 
-    std::printf(
-        "%zu tasks: single %.2fs (%zu evals, hv %.4g) | %zu islands %.2fs "
-        "(hv %.4g, ratio %.3f) | matched single's hv at %s | speedup %.2fx, "
-        "budget %s\n",
-        tasks, single.wall_seconds, single.evaluations, hv_single,
-        compare_islands, sharded.wall_seconds, hv_sharded, hv_ratio,
-        time_to_single_hv > 0.0
-            ? (std::to_string(time_to_single_hv) + "s").c_str()
-            : "never",
-        speedup, equal_budget ? "equal" : "UNEQUAL");
-
-    if (tasks == 1000 || sizes.size() == 1) {
-      headline_speedup = speedup;
-      headline_hv_ratio = hv_ratio;
-    }
-
-    size_reports.push_back(util::JsonValue(util::JsonObject{
-        {"tasks", tasks},
-        {"single", run_json(single_hv, hv_single)},
-        {"islands", run_json(sharded_hv, hv_sharded)},
-        {"equal_budget", equal_budget},
-        {"wall_ratio_equal_budget", wall_ratio},
-        {"hv_ratio", hv_ratio},
-        {"time_to_single_hv_seconds", time_to_single_hv},
-        {"evaluations_to_single_hv", evals_to_single_hv},
-        {"speedup_wall_to_single_hv", speedup}}));
+    size_reports.push_back(util::JsonValue(
+        util::JsonObject{{"tasks", tasks},
+                         {"wall_seconds", run.wall_seconds},
+                         {"evaluations", run.evaluations},
+                         {"hypervolume", hv},
+                         {"curve", curve_json(run.curve)}}));
   }
 
   util::JsonObject report;
@@ -289,19 +172,13 @@ int main(int argc, char** argv) {
   report["flow"] = "fcCLR";
   report["population"] = ga.population_size;
   report["generations"] = ga.generations;
-  report["islands"] = compare_islands;
-  report["migration_interval"] = migration.migration_interval;
-  report["migration_size"] = migration.migration_size;
   report["seed"] = options.seed;
   report["fast_mode"] = core::fast_mode();
-  report["islands1_bit_identical"] = bit_identical;
-  report["speedup_wall_to_single_hv"] = headline_speedup;
-  report["hv_ratio"] = headline_hv_ratio;
   report["sizes"] = std::move(size_reports);
 
   const std::string out = args.get("out");
   std::ofstream stream(out);
   stream << util::json_serialize(util::JsonValue(std::move(report))) << "\n";
   std::printf("[wrote %s]\n", out.c_str());
-  return bit_identical ? 0 : 1;
+  return 0;
 }

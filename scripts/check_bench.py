@@ -13,6 +13,10 @@ Dispatches on the top-level "benchmark" id:
   non-empty k-resilient front, every point's analytic availability and
   error inside the injected Wilson interval, injection bit-identical
   across thread counts, and a sane resilience-agnostic baseline.
+* "scale" (bench_scale) — the single-population fcCLR scaling report: per
+  graph size a positive wall time, the full pop x (gens + 1) evaluation
+  budget, and a hypervolume curve with monotone evaluation counts that
+  ends at the run's budget and final hypervolume.
 
 For chain_kernel the contract CI archives and the docs describe:
 
@@ -38,11 +42,6 @@ import sys
 # Warn (don't fail) below this batched speedup — the acceptance target is
 # 3x on quiet AVX2 hardware, but CI runners share cores and throttle.
 SOFT_SPEEDUP_WARN = 2.0
-
-# Warn (don't fail) below this island-model time-to-quality speedup — the
-# target is 2x on the 1000-task graph, but the search is seed-sensitive and
-# single-core runners cannot overlap the islands.
-SCALE_SOFT_SPEEDUP_WARN = 2.0
 
 BATCHED_FIELDS = (
     "intervals",
@@ -270,84 +269,48 @@ def check_resilience(report: dict) -> str:
     )
 
 
-def check_scale_run(entry: dict, label: str) -> None:
-    for key in ("wall_seconds", "evaluations", "hypervolume", "curve"):
-        if key not in entry:
-            fail(f"{label} run missing '{key}': {entry}")
-    if entry["wall_seconds"] <= 0:
-        fail(f"{label} run has non-positive wall_seconds: {entry}")
-    if entry["evaluations"] <= 0:
-        fail(f"{label} run has non-positive evaluations: {entry}")
-    curve = entry["curve"]
-    if not isinstance(curve, list) or not curve:
-        fail(f"{label} run has missing/empty 'curve'")
-    last_evals = -1
-    for point in curve:
-        for key in ("evaluations", "wall_seconds", "front_size",
-                    "hypervolume"):
-            if key not in point:
-                fail(f"{label} curve point missing '{key}': {point}")
-        if point["evaluations"] < last_evals:
-            fail(f"{label} curve evaluations not monotone: {curve}")
-        last_evals = point["evaluations"]
-    if curve[-1]["evaluations"] != entry["evaluations"]:
-        fail(
-            f"{label} curve ends at {curve[-1]['evaluations']} evaluations "
-            f"but the run reports {entry['evaluations']}"
-        )
-
-
 def check_scale(report: dict) -> str:
-    for key in ("flow", "population", "generations", "islands",
-                "migration_interval", "migration_size", "seed", "fast_mode",
-                "islands1_bit_identical", "speedup_wall_to_single_hv",
-                "hv_ratio", "sizes"):
+    for key in ("flow", "population", "generations", "seed", "fast_mode",
+                "sizes"):
         if key not in report:
             fail(f"missing top-level key '{key}'")
-    if report["islands1_bit_identical"] is not True:
-        fail("--islands 1 diverged from the plain run_nsga2 path "
-             "(islands1_bit_identical=false)")
+    budget = report["population"] * (report["generations"] + 1)
     sizes = report["sizes"]
     if not isinstance(sizes, list) or not sizes:
         fail("'sizes' missing or empty")
     for entry in sizes:
-        for key in ("tasks", "single", "islands", "equal_budget",
-                    "wall_ratio_equal_budget", "hv_ratio",
-                    "time_to_single_hv_seconds", "evaluations_to_single_hv",
-                    "speedup_wall_to_single_hv"):
+        for key in ("tasks", "wall_seconds", "evaluations", "hypervolume",
+                    "curve"):
             if key not in entry:
                 fail(f"sizes entry missing '{key}': {list(entry)}")
-        if entry["equal_budget"] is not True:
-            fail(
-                f"{entry['tasks']}-task comparison ran unequal evaluation "
-                f"budgets — the island layer re-evaluated migrants"
-            )
-        check_scale_run(entry["single"], f"{entry['tasks']}-task single")
-        check_scale_run(entry["islands"], f"{entry['tasks']}-task islands")
-        if entry["single"]["evaluations"] != entry["islands"]["evaluations"]:
-            fail(f"{entry['tasks']}-task runs report different budgets")
-
-    # Convergence quality is a soft gate: the headline targets come from a
-    # quiet dedicated box; shared CI runners are noisy and the search is
-    # seed-sensitive. Structural violations above are the hard contract.
-    speedup = report["speedup_wall_to_single_hv"]
-    hv_ratio = report["hv_ratio"]
-    if speedup < SCALE_SOFT_SPEEDUP_WARN:
-        warn(
-            f"islands matched the single-population hypervolume at "
-            f"{speedup:.2f}x wall-clock speedup, below the "
-            f"{SCALE_SOFT_SPEEDUP_WARN}x soft gate — seed-sensitive, "
-            f"investigate if persistent"
-        )
-    if hv_ratio < 1.0:
-        warn(
-            f"final island front hypervolume is {hv_ratio:.3f}x the "
-            f"single-population run (soft gate at 1.0)"
-        )
-    return (
-        f"{len(sizes)} sizes, {report['islands']} islands, "
-        f"speedup-to-single-hv {speedup:.2f}x, hv ratio {hv_ratio:.3f}"
-    )
+        label = f"{entry['tasks']}-task run"
+        if entry["wall_seconds"] <= 0:
+            fail(f"{label} has non-positive wall_seconds")
+        if entry["evaluations"] != budget:
+            fail(f"{label} spent {entry['evaluations']} evaluations, "
+                 f"not the pop x (gens + 1) budget {budget}")
+        curve = entry["curve"]
+        if not isinstance(curve, list) or not curve:
+            fail(f"{label} has missing/empty 'curve'")
+        last_evals = -1
+        for point in curve:
+            for key in ("evaluations", "wall_seconds", "front_size",
+                        "hypervolume"):
+                if key not in point:
+                    fail(f"{label} curve point missing '{key}': {point}")
+            if point["evaluations"] < last_evals:
+                fail(f"{label} curve evaluations not monotone")
+            last_evals = point["evaluations"]
+        if curve[-1]["evaluations"] != entry["evaluations"]:
+            fail(f"{label} curve ends at {curve[-1]['evaluations']} "
+                 f"evaluations but the run reports {entry['evaluations']}")
+        if curve[-1]["hypervolume"] != entry["hypervolume"]:
+            fail(f"{label} curve ends at hypervolume "
+                 f"{curve[-1]['hypervolume']}, not the reported "
+                 f"{entry['hypervolume']}")
+    return ", ".join(
+        f"{entry['tasks']} tasks {entry['wall_seconds']:.2f}s "
+        f"hv {entry['hypervolume']:.4g}" for entry in sizes)
 
 
 CHECKERS = {

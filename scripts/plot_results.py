@@ -13,9 +13,6 @@ Regenerates (when the corresponding CSV exists):
     fig10.png   proposed_k vs pfCLR_k fronts (30 tasks)
     table5.png  hypervolume gain bars, CLR over agnostic
     table6.png  hypervolume gain bars, proposed over fcCLR
-    scale_hv.png  hypervolume-vs-evaluations convergence curves, single
-                  population vs islands per graph size (BENCH_scale.json,
-                  looked for in the repo root and under --results)
 
 Requires matplotlib; every plot is optional and skipped with a note when its
 input CSV is missing.
@@ -114,38 +111,6 @@ def plot_fig9(plt, rows, out_path):
     print(f"wrote {out_path}")
 
 
-def plot_scale_curves(plt, report, out_path):
-    """Hypervolume-vs-evaluations curves from BENCH_scale.json: one panel
-    per graph size, single population vs islands under the shared reference
-    (docs/SCALING.md)."""
-    sizes = report.get("sizes", [])
-    if not sizes:
-        print(f"skipping {out_path}: no sizes in report")
-        return
-    fig, axes = plt.subplots(1, len(sizes), figsize=(4.2 * len(sizes), 3.8),
-                             squeeze=False)
-    for ax, entry in zip(axes[0], sizes):
-        for label, run, style in (("1 population", entry["single"], "-o"),
-                                  (f"{report['islands']} islands",
-                                   entry["islands"], "-s")):
-            points = [(p["evaluations"], p["hypervolume"])
-                      for p in run["curve"] if p["hypervolume"] > 0]
-            if not points:
-                continue
-            xs, ys = zip(*points)
-            ax.plot(xs, ys, style, markersize=3, linewidth=1.0, label=label)
-        ax.set_title(f"{entry['tasks']} tasks "
-                     f"(speedup {entry['speedup_wall_to_single_hv']:.2f}x)")
-        ax.set_xlabel("evaluations")
-        ax.set_ylabel("hypervolume (shared reference)")
-        ax.grid(True, alpha=0.3)
-        ax.legend(fontsize=8)
-    fig.suptitle("Island-model convergence at equal evaluation budget")
-    fig.tight_layout()
-    fig.savefig(out_path, dpi=150)
-    print(f"wrote {out_path}")
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--results", default="results", type=Path)
@@ -200,17 +165,6 @@ def main() -> int:
     fig9 = args.results / "fig9_pareto_impl_counts.csv"
     if fig9.exists():
         plot_fig9(plt, read_rows(fig9), args.out / "fig9.png")
-
-    import json
-    for candidate in (Path("BENCH_scale.json"),
-                      args.results / "BENCH_scale.json"):
-        if candidate.exists():
-            with candidate.open(encoding="utf-8") as fh:
-                plot_scale_curves(plt, json.load(fh),
-                                  args.out / "scale_hv.png")
-            break
-    else:
-        print("skipping scale_hv.png: BENCH_scale.json not found")
     return 0
 
 

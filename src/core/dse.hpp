@@ -15,16 +15,11 @@
 #include "core/problem.hpp"
 #include "core/resilience.hpp"
 #include "core/tdse.hpp"
-#include "moea/island.hpp"
 
 namespace clrearly::core {
 
 struct DseOptions {
   moea::Nsga2Params ga;               ///< population/generations/operator rates
-  /// Island-model sharding of the GA population (docs/SCALING.md). The
-  /// default single island follows the exact historical run_nsga2 path, so
-  /// existing results are bit-identical.
-  moea::IslandParams island;
   SystemObjectives objectives;        ///< system-level metrics to minimize
   sched::QosSpec spec;                ///< QoS constraints (Eq. 5)
   TdseObjectives tdse_objectives = TdseObjectives::tdse_run(1);

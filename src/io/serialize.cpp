@@ -271,6 +271,32 @@ void reject_unknown_keys(const JsonObject& object,
   }
 }
 
+/// The `islands` object that specs and journals written before the island
+/// model's removal carry, always as {"count": 1, "migration_interval": 10,
+/// "migration_size": 4} unless a client asked for islands. Strict keys; a
+/// count of 1 still parses (its migration values are validated, then
+/// ignored), any other count is rejected naming the removal.
+void check_legacy_islands(const JsonValue& json) {
+  reject_unknown_keys(json.as_object(),
+                      {"count", "migration_interval", "migration_size"},
+                      "islands");
+  if (const JsonValue* count = json.find("count");
+      count != nullptr && as_uint64(*count, "count") != 1) {
+    throw std::runtime_error(
+        "serialize: islands.count must be 1: the island model was removed "
+        "(docs/SCALING.md), every job searches one NSGA-II population");
+  }
+  if (const JsonValue* interval = json.find("migration_interval");
+      interval != nullptr &&
+      as_uint64(*interval, "migration_interval") == 0) {
+    throw std::runtime_error(
+        "serialize: islands: migration_interval must be >= 1");
+  }
+  if (const JsonValue* size = json.find("migration_size")) {
+    as_uint64(*size, "migration_size");
+  }
+}
+
 }  // namespace
 
 JsonValue to_json(const core::Scenario& scenario) {
@@ -455,37 +481,6 @@ core::ResilienceSpec resilience_spec_from_json(const JsonValue& json) {
   return resilience;
 }
 
-JsonValue to_json(const moea::IslandParams& island) {
-  return JsonValue(
-      JsonObject{{"count", island.islands},
-                 {"migration_interval", island.migration_interval},
-                 {"migration_size", island.migration_size}});
-}
-
-moea::IslandParams island_params_from_json(const JsonValue& json) {
-  reject_unknown_keys(json.as_object(),
-                      {"count", "migration_interval", "migration_size"},
-                      "islands");
-  moea::IslandParams island;
-  if (const JsonValue* count = json.find("count")) {
-    island.islands = static_cast<std::size_t>(as_uint64(*count, "count"));
-  }
-  if (const JsonValue* interval = json.find("migration_interval")) {
-    island.migration_interval =
-        static_cast<std::size_t>(as_uint64(*interval, "migration_interval"));
-  }
-  if (const JsonValue* size = json.find("migration_size")) {
-    island.migration_size =
-        static_cast<std::size_t>(as_uint64(*size, "migration_size"));
-  }
-  try {
-    island.validate();
-  } catch (const std::exception& e) {
-    throw std::runtime_error(std::string("serialize: islands: ") + e.what());
-  }
-  return island;
-}
-
 JsonValue to_json(const core::TdseObjectives& objectives) {
   return JsonValue(JsonObject{{"avg_exec_time", objectives.avg_exec_time},
                               {"error_prob", objectives.error_prob},
@@ -527,7 +522,6 @@ core::DseOptions JobSpec::options() const {
   options.seed = seed;
   options.heuristic_seed = heuristic_seed;
   options.resilience = resilience;
-  options.island = island;
   return options;
 }
 
@@ -538,7 +532,6 @@ std::string JobSpec::model_key() const {
                    {"architecture", to_json(architecture)},
                    {"environment_factor", scenario.environment_factor},
                    {"objectives", to_json(objectives)},
-                   {"islands", to_json(island)},
                    {"qos", to_json(spec)},
                    {"resilience", to_json(resilience)},
                    {"tdse_objectives", to_json(tdse_objectives)}};
@@ -554,7 +547,6 @@ JsonValue to_json(const JobSpec& spec) {
                   {"scenario", to_json(spec.scenario)},
                   {"ga", to_json(spec.ga)},
                   {"objectives", to_json(spec.objectives)},
-                  {"islands", to_json(spec.island)},
                   {"qos", to_json(spec.spec)},
                   {"resilience", to_json(spec.resilience)},
                   {"tdse_objectives", to_json(spec.tdse_objectives)},
@@ -615,7 +607,7 @@ JobSpec job_spec_from_json(const JsonValue& json) {
     spec.objectives = system_objectives_from_json(*objectives);
   }
   if (const JsonValue* islands = json.find("islands")) {
-    spec.island = island_params_from_json(*islands);
+    check_legacy_islands(*islands);
   }
   if (const JsonValue* qos = json.find("qos")) {
     spec.spec = qos_spec_from_json(*qos);

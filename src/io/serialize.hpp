@@ -91,11 +91,6 @@ sched::QosSpec qos_spec_from_json(const util::JsonValue& json);
 util::JsonValue to_json(const core::ResilienceSpec& resilience);
 core::ResilienceSpec resilience_spec_from_json(const util::JsonValue& json);
 
-/// Island-model parameters <-> JSON (the `islands` sub-object: count,
-/// migration_interval, migration_size). Strict keys; validated on parse.
-util::JsonValue to_json(const moea::IslandParams& island);
-moea::IslandParams island_params_from_json(const util::JsonValue& json);
-
 /// tDSE objective ladder <-> JSON.
 util::JsonValue to_json(const core::TdseObjectives& objectives);
 core::TdseObjectives tdse_objectives_from_json(const util::JsonValue& json);
@@ -117,11 +112,6 @@ struct JobSpec {
   bool heuristic_seed = false;
   core::Scenario scenario;  ///< operating condition (environment factor)
   moea::Nsga2Params ga;
-  /// Island-model sharding of the GA population (docs/SCALING.md). Part of
-  /// the model key: island and single-population jobs search the same space
-  /// but with different sharding, and keeping their sessions separate makes
-  /// the session cache's replay guarantees trivially correct.
-  moea::IslandParams island;
   core::SystemObjectives objectives;
   sched::QosSpec spec;
   core::TdseObjectives tdse_objectives = core::TdseObjectives::tdse_run(1);
@@ -136,7 +126,7 @@ struct JobSpec {
   core::DseOptions options() const;
 
   /// Canonical serialization of the *model* half (application, architecture,
-  /// scenario environment, objectives, spec, tDSE ladder, island sharding) —
+  /// scenario environment, objectives, spec, tDSE ladder, resilience) —
   /// everything that determines ClrMappingProblem construction and
   /// evaluation, and nothing that doesn't (seed, GA budget, flow, label).
   /// Jobs with equal model keys can share problem instances and their memo

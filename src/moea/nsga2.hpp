@@ -338,9 +338,7 @@ inline double front_bbox_volume(const std::vector<Objectives>& points,
 
 /// Steppable NSGA-II: one engine = one population evolving generation by
 /// generation. run_nsga2 below is a thin wrapper (construct, advance to the
-/// end, finish) and stays bit-identical to the historical one-shot loop; the
-/// island model (moea/island.hpp) drives several engines side by side and
-/// exchanges individuals between generations through emigrants()/immigrate().
+/// end, finish) and stays bit-identical to the historical one-shot loop.
 ///
 /// Every generation is two phases: a serial *variation* phase (selection,
 /// crossover, mutation — the only RNG consumers, drawn in the exact order
@@ -389,31 +387,7 @@ class Nsga2Engine {
     next_violations_.reserve(params_.population_size);
   }
 
-  std::size_t generation() const noexcept { return generation_; }
   bool done() const noexcept { return generation_ >= params_.generations; }
-  std::size_t evaluations() const noexcept { return result_.evaluations; }
-
-  /// Optional objective-space search bias (the island model's cone
-  /// separation, docs/SCALING.md): a non-negative penalty, a pure function
-  /// of the objective vector, added to each member's constraint violation
-  /// when ranking parents and selecting survivors. Members outside this
-  /// engine's assigned region lose under constrained dominance, so search
-  /// effort concentrates inside the region. The *true* violation still
-  /// decides emigrants, archives and the final front — the bias redirects
-  /// effort, it never fabricates or hides (in)feasibility in anything the
-  /// engine reports. Null (the default, and the only mode run_nsga2 uses)
-  /// keeps ranking bit-identical to the historical path.
-  void set_region_bias(std::function<double(const Objectives&)> bias) {
-    region_bias_ = std::move(bias);
-  }
-
-  const std::vector<EvaluatedGenome<Genome>>& population() const noexcept {
-    return result_.population;
-  }
-  const std::vector<Objectives>& points() const noexcept { return points_; }
-  const std::vector<double>& violations() const noexcept {
-    return violations_;
-  }
 
   /// Evolve one generation: rank, telemetry/hook, serial variation,
   /// parallel evaluation, (mu + lambda) survivor selection, archive update.
@@ -427,7 +401,7 @@ class Nsga2Engine {
     const util::TraceSpan gen_span("nsga2.generation");
     generations_metric().add();
 
-    const RankCrowding rc = rank_and_crowding(points_, selection_violations());
+    const RankCrowding rc = rank_and_crowding(points_, violations_);
 
     // Per-generation convergence telemetry from already-computed data:
     // first-front size and the bounding-box hypervolume proxy. Pure reads —
@@ -500,56 +474,8 @@ class Nsga2Engine {
     ++generation_;
   }
 
-  /// Copies of (up to) `count` members of the current first feasible front:
-  /// the front is ordered lexicographically by objective vector (population
-  /// index breaks exact ties) and then sampled at an even stride, so the
-  /// emigrants span the whole front instead of clustering in its
-  /// lexicographic corner — repeated migrations would otherwise export the
-  /// same few individuals every epoch and homogenize the ring. Fully
-  /// deterministic regardless of how the population happens to be ordered.
-  /// The migration payload of the island model's ring topology.
-  std::vector<EvaluatedGenome<Genome>> emigrants(std::size_t count) const {
-    const auto fronts = non_dominated_sort(points_, violations_);
-    std::vector<std::size_t> first =
-        fronts.empty() ? std::vector<std::size_t>{} : fronts.front();
-    std::sort(first.begin(), first.end(), [&](std::size_t a, std::size_t b) {
-      if (points_[a] != points_[b]) return points_[a] < points_[b];
-      return a < b;
-    });
-    std::vector<EvaluatedGenome<Genome>> out;
-    if (count == 0 || first.empty()) return out;
-    const std::size_t take = std::min(count, first.size());
-    out.reserve(take);
-    for (std::size_t k = 0; k < take; ++k) {
-      // k-th of `take` evenly spaced picks over the sorted front (always
-      // includes index 0; covers the far end as take approaches the front
-      // size).
-      out.push_back(result_.population[first[k * first.size() / take]]);
-    }
-    return out;
-  }
-
-  /// Merge already-evaluated immigrants into the population and survivor-
-  /// select back down to the population size. Immigrants were evaluated by
-  /// their home island, so the evaluation count is NOT incremented — island
-  /// runs spend exactly the same evaluation budget as a single-population
-  /// run of equal size. Feasible immigrants also enter the archive.
-  void immigrate(std::vector<EvaluatedGenome<Genome>> immigrants) {
-    if (immigrants.empty()) return;
-    if (params_.archive_size > 0) {
-      detail::update_archive(result_.archive, immigrants,
-                             params_.archive_size);
-    }
-    for (auto& member : immigrants) {
-      points_.push_back(member.eval.objectives);
-      violations_.push_back(member.eval.violation);
-      result_.population.push_back(std::move(member));
-    }
-    select_survivors();
-  }
-
   /// Final front extraction + the final progress snapshot. Call exactly once,
-  /// after the last advance()/immigrate(); the engine is consumed.
+  /// after the last advance(); the engine is consumed.
   Nsga2Result<Genome> finish() {
     const auto fronts = non_dominated_sort(points_, violations_);
     result_.front =
@@ -590,7 +516,7 @@ class Nsga2Engine {
   void select_survivors() {
     auto& population = result_.population;
     const std::vector<std::size_t> keep = survivor_selection(
-        points_, selection_violations(), params_.population_size);
+        points_, violations_, params_.population_size);
     next_.clear();
     next_points_.clear();
     next_violations_.clear();
@@ -604,28 +530,14 @@ class Nsga2Engine {
     violations_.swap(next_violations_);
   }
 
-  /// Selection-time violations: the true violations with the region bias
-  /// (when set) added per member. Returns violations_ itself when unbiased,
-  /// so the historical path pays nothing.
-  const std::vector<double>& selection_violations() {
-    if (!region_bias_) return violations_;
-    biased_violations_.resize(violations_.size());
-    for (std::size_t i = 0; i < violations_.size(); ++i) {
-      biased_violations_[i] = violations_[i] + region_bias_(points_[i]);
-    }
-    return biased_violations_;
-  }
-
   Nsga2Params params_;
   const Nsga2Ops<Genome>& ops_;
   util::Rng& rng_;
   std::size_t generation_ = 0;
-  std::function<double(const Objectives&)> region_bias_;
 
   Nsga2Result<Genome> result_;
   std::vector<Objectives> points_;
   std::vector<double> violations_;
-  std::vector<double> biased_violations_;  ///< scratch for selection_violations
 
   // Scratch buffers for survivor selection, reused across generations.
   std::vector<EvaluatedGenome<Genome>> next_;

@@ -36,14 +36,6 @@ double Schedule::peak_power(
   return peak;
 }
 
-Schedule list_schedule(const app::TaskGraph& graph,
-                       const std::vector<TaskAssignment>& assignments,
-                       const std::vector<std::size_t>& priority_order,
-                       std::size_t num_pes) {
-  return list_schedule(graph, assignments, priority_order, num_pes,
-                       platform::Interconnect{});
-}
-
 double data_arrival_us(const app::TaskGraph& graph,
                        const platform::Interconnect& interconnect,
                        std::size_t src, std::size_t dst, double src_end_us,

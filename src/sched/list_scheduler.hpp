@@ -44,20 +44,17 @@ struct Schedule {
 /// Compute the schedule. `priority_order` must be a permutation of all task
 /// ids; `assignments` must bind every task to a PE < num_pes. Throws
 /// std::invalid_argument on malformed input.
-Schedule list_schedule(const app::TaskGraph& graph,
-                       const std::vector<TaskAssignment>& assignments,
-                       const std::vector<std::size_t>& priority_order,
-                       std::size_t num_pes);
-
-/// Communication-aware variant (the paper's future-work extension): a
-/// dependency whose producer and consumer sit on *different* PEs delays the
-/// consumer's ready time by the interconnect's transfer time for the edge's
-/// data volume; co-located tasks communicate through local memory for free.
+///
+/// Communication (the paper's future-work extension): a dependency whose
+/// producer and consumer sit on *different* PEs delays the consumer's ready
+/// time by the interconnect's transfer time for the edge's data volume;
+/// co-located tasks communicate through local memory for free. The default
+/// interconnect models no communication (the paper's base abstraction).
 Schedule list_schedule(const app::TaskGraph& graph,
                        const std::vector<TaskAssignment>& assignments,
                        const std::vector<std::size_t>& priority_order,
                        std::size_t num_pes,
-                       const platform::Interconnect& interconnect);
+                       const platform::Interconnect& interconnect = {});
 
 /// Arrival time at task `dst` of the data produced by task `src` finishing
 /// at `src_end_us`: co-located tasks communicate for free, cross-PE

@@ -37,14 +37,6 @@ double QosSpec::violation(const QosMetrics& m) const {
 QosMetrics estimate_qos(const app::Application& application,
                         const platform::Architecture& architecture,
                         const std::vector<TaskDecision>& decisions,
-                        const std::vector<std::size_t>& priority_order) {
-  return estimate_qos(application, architecture, decisions, priority_order,
-                      nullptr);
-}
-
-QosMetrics estimate_qos(const app::Application& application,
-                        const platform::Architecture& architecture,
-                        const std::vector<TaskDecision>& decisions,
                         const std::vector<std::size_t>& priority_order,
                         Schedule* schedule_out) {
   const app::TaskGraph& graph = application.graph;

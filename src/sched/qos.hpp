@@ -73,17 +73,14 @@ struct TaskDecision {
 /// Lifetime: MTTF(t,i,p) already lives in metrics.mttf_hours; per PE,
 /// MTTFp = Papp / sum_{t on p}(AvgExT_t / MTTF_t) and Lapp = min over PEs
 /// that execute at least one task (idle PEs do not wear).
-QosMetrics estimate_qos(const app::Application& application,
-                        const platform::Architecture& architecture,
-                        const std::vector<TaskDecision>& decisions,
-                        const std::vector<std::size_t>& priority_order);
-
-/// The same, but also returns the realized schedule (for reporting/examples).
+///
+/// When `schedule_out` is non-null it also receives the realized schedule
+/// (for reporting/examples).
 QosMetrics estimate_qos(const app::Application& application,
                         const platform::Architecture& architecture,
                         const std::vector<TaskDecision>& decisions,
                         const std::vector<std::size_t>& priority_order,
-                        Schedule* schedule_out);
+                        Schedule* schedule_out = nullptr);
 
 /// Duty-cycle-weighted MTTF of every PE under `decisions` (Eq. 2). Idle PEs
 /// report +infinity (they do not wear under load).

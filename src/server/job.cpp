@@ -199,11 +199,6 @@ core::DseOptions model_half(const io::JobSpec& spec) {
   options.spec = spec.spec;
   options.tdse_objectives = spec.tdse_objectives;
   options.resilience = spec.resilience;
-  // Island sharding is part of the model key (io::JobSpec::model_key), so
-  // sessions never alias across island configurations; mirror it here so the
-  // session's options match the key that selected it. Problem construction
-  // itself does not depend on it.
-  options.island = spec.island;
   return options;
 }
 
@@ -301,10 +296,6 @@ void run_job(JobRecord& job, ModelSession& session) {
   try {
     core::DseOptions options = job.spec().options();
     const std::string stage = job.spec().flow;
-    // For island jobs (spec.islands.count > 1) this hook fires once per
-    // migration epoch over the merged front rather than once per generation,
-    // so progress events and cancellation both land at epoch granularity
-    // (docs/SCALING.md).
     options.ga.on_generation = [&job, stage](
                                    const moea::GenerationProgress& progress) {
       if (job.cancel_requested()) throw JobCancelled();

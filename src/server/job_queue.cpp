@@ -27,8 +27,9 @@ JobQueue::JobQueue(std::size_t workers, std::size_t max_depth, Runner runner)
 
 JobQueue::~JobQueue() { shutdown(true); }
 
-std::optional<std::size_t> JobQueue::submit(std::shared_ptr<JobRecord> job,
-                                            bool force) {
+std::optional<std::size_t> JobQueue::submit(
+    std::shared_ptr<JobRecord> job, bool force,
+    const std::function<void()>& on_admit) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_ || (!force && waiting_locked() >= max_depth_)) {
@@ -37,6 +38,7 @@ std::optional<std::size_t> JobQueue::submit(std::shared_ptr<JobRecord> job,
       rejected.add();
       return std::nullopt;
     }
+    if (on_admit) on_admit();
     const JobPriority priority = job->priority();
     // Dequeue position across both levels: a high-priority job jumps the
     // whole normal deque; a normal job waits behind everything.

@@ -52,8 +52,12 @@ class JobQueue {
   /// or shutting down (caller decides the status code). `force` bypasses
   /// the depth bound — journal replay must re-admit every interrupted job
   /// even when there are more of them than a live client could submit.
+  /// `on_admit` runs once the job is admitted but before any worker can see
+  /// it (under the queue lock); if it throws, the job is withdrawn — never
+  /// queued — and the exception propagates.
   std::optional<std::size_t> submit(std::shared_ptr<JobRecord> job,
-                                    bool force = false);
+                                    bool force = false,
+                                    const std::function<void()>& on_admit = {});
 
   /// Look a job up by id (jobs stay addressable after completion).
   std::shared_ptr<JobRecord> find(const std::string& id) const;

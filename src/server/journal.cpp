@@ -1,9 +1,11 @@
 #include "server/journal.hpp"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -17,12 +19,26 @@ namespace clrearly::server {
 
 namespace {
 
-/// Flush stdio buffers and fsync the fd — the record must survive SIGKILL
-/// the moment the append returns.
-void flush_and_sync(std::FILE* file) {
-  if (file == nullptr) return;
-  std::fflush(file);
-  ::fsync(::fileno(file));
+/// write(2) all of `data` and fsync it — the bytes must survive SIGKILL
+/// the moment this returns true. Retries short writes and EINTR; false
+/// (errno set) on any failure, e.g. ENOSPC or EFBIG past RLIMIT_FSIZE.
+bool write_and_sync(int fd, const std::string& data) {
+  std::size_t done = 0;
+  while (done < data.size()) {
+    const ssize_t n = ::write(fd, data.data() + done, data.size() - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  return ::fsync(fd) == 0;
+}
+
+void count_write_error() {
+  static util::Counter& errors =
+      util::metric_counter("server.journal.write_errors");
+  errors.add();
 }
 
 std::string submitted_line(const std::string& id, const std::string& spec_json,
@@ -70,27 +86,23 @@ std::string state_line(const std::string& id, JobState state) {
 JobJournal::JobJournal(std::string path, std::size_t compact_bytes)
     : path_(std::move(path)), compact_bytes_(compact_bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  open_locked("a");
+  open_locked();
 }
 
 JobJournal::~JobJournal() {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (file_ != nullptr) {
-    flush_and_sync(file_);
-    std::fclose(file_);
-    file_ = nullptr;
-  }
+  if (fd_ >= 0) ::close(fd_);  // every append is already fsync'd
 }
 
-void JobJournal::open_locked(const char* mode) {
-  if (file_ != nullptr) std::fclose(file_);
-  file_ = std::fopen(path_.c_str(), mode);
-  if (file_ == nullptr) {
+void JobJournal::open_locked() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+  if (fd_ < 0) {
     throw std::runtime_error("journal: cannot open " + path_ + ": " +
                              std::strerror(errno));
   }
-  const long pos = std::ftell(file_);
-  bytes_ = pos > 0 ? static_cast<std::size_t>(pos) : 0;
+  const off_t end = ::lseek(fd_, 0, SEEK_END);
+  bytes_ = end > 0 ? static_cast<std::size_t>(end) : 0;
   static util::Gauge& gauge = util::metric_gauge("server.journal.bytes");
   gauge.set(static_cast<double>(bytes_));
 }
@@ -199,7 +211,12 @@ void JobJournal::record_submitted(const JobRecord& job, JobPriority priority,
   live.state = JobState::kQueued;
   live.seq = seq;
   live_[job.id()] = std::move(live);
-  append_locked(submitted_line(job.id(), spec_json, priority, client, seq));
+  if (!append_locked(
+          submitted_line(job.id(), spec_json, priority, client, seq))) {
+    live_.erase(job.id());
+    throw JournalWriteError("journal: cannot record " + job.id() + " in " +
+                            path_);
+  }
 }
 
 void JobJournal::record_state(const std::string& id, JobState state) {
@@ -220,11 +237,18 @@ std::size_t JobJournal::bytes_written() const {
   return bytes_;
 }
 
-void JobJournal::append_locked(const std::string& line) {
-  if (file_ == nullptr) return;
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fputc('\n', file_);
-  flush_and_sync(file_);
+bool JobJournal::append_locked(const std::string& line) {
+  if (fd_ < 0 || !write_and_sync(fd_, line + '\n')) {
+    const int error = errno;
+    count_write_error();
+    // Cut any partial record back off, so a later successful append does
+    // not land behind a torn line that replay would stop at.
+    const bool cut = ::ftruncate(fd_, static_cast<off_t>(bytes_)) == 0;
+    util::log_warn() << "journal: append to " << path_
+                     << " failed: " << std::strerror(error)
+                     << (cut ? "" : " (could not cut the partial record)");
+    return false;
+  }
   bytes_ += line.size() + 1;
   static util::Counter& appends =
       util::metric_counter("server.journal.appends");
@@ -232,41 +256,48 @@ void JobJournal::append_locked(const std::string& line) {
   static util::Gauge& gauge = util::metric_gauge("server.journal.bytes");
   gauge.set(static_cast<double>(bytes_));
   if (compact_bytes_ > 0 && bytes_ > compact_bytes_) compact_locked();
+  return true;
 }
 
 void JobJournal::compact_locked() {
   // Rewrite the journal with only the live jobs' admission records (their
   // current non-terminal state is implied: replay re-enqueues them), in
   // submission order, then atomically swap it in. A crash at any point
-  // leaves either the old or the new complete journal.
+  // leaves either the old or the new complete journal; so does a failed
+  // write, which removes the temp file and keeps the old journal.
   std::vector<std::pair<std::string, const LiveJob*>> live;
   live.reserve(live_.size());
   for (const auto& [id, job] : live_) live.emplace_back(id, &job);
   std::sort(live.begin(), live.end(), [](const auto& a, const auto& b) {
     return a.second->seq < b.second->seq;
   });
+  std::string contents;
+  for (const auto& [id, job] : live) {
+    contents += submitted_line(id, job->spec_json, job->priority, job->client,
+                               job->seq);
+    contents += '\n';
+    if (job->state != JobState::kQueued) {
+      contents += state_line(id, job->state);
+      contents += '\n';
+    }
+  }
 
   const std::string tmp = path_ + ".tmp";
-  {
-    std::FILE* out = std::fopen(tmp.c_str(), "w");
-    if (out == nullptr) {
-      util::log_warn() << "journal: compaction failed to open " << tmp;
-      return;
-    }
-    for (const auto& [id, job] : live) {
-      const std::string line = submitted_line(id, job->spec_json,
-                                              job->priority, job->client,
-                                              job->seq);
-      std::fwrite(line.data(), 1, line.size(), out);
-      std::fputc('\n', out);
-      if (job->state != JobState::kQueued) {
-        const std::string state = state_line(id, job->state);
-        std::fwrite(state.data(), 1, state.size(), out);
-        std::fputc('\n', out);
-      }
-    }
-    flush_and_sync(out);
-    std::fclose(out);
+  const int out =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (out < 0) {
+    util::log_warn() << "journal: compaction failed to open " << tmp << ": "
+                     << std::strerror(errno);
+    return;
+  }
+  const bool written = write_and_sync(out, contents);
+  const int error = errno;
+  if (::close(out) != 0 || !written) {
+    count_write_error();
+    util::log_warn() << "journal: compaction failed to write " << tmp << ": "
+                     << std::strerror(written ? errno : error);
+    std::remove(tmp.c_str());
+    return;
   }
   if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
     util::log_warn() << "journal: compaction rename failed: "
@@ -274,9 +305,7 @@ void JobJournal::compact_locked() {
     std::remove(tmp.c_str());
     return;
   }
-  if (file_ != nullptr) std::fclose(file_);
-  file_ = nullptr;
-  open_locked("a");
+  open_locked();
   static util::Counter& compactions =
       util::metric_counter("server.journal.compactions");
   compactions.add();

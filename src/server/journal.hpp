@@ -18,14 +18,18 @@
 //  * once the file grows past `compact_bytes`, the journal is compacted:
 //    rewritten to hold only the admission records of still-live jobs
 //    (terminal jobs' results are already spooled as {id}.result.json),
-//    via write-to-temp + fsync + atomic rename.
+//    via write-to-temp + fsync + atomic rename;
+//  * every write and fsync is checked. A failed append (full disk, file
+//    size limit) is cut back off the file so no torn record precedes later
+//    appends, counted in `server.journal.write_errors`, and reported to
+//    the caller; a failed compaction keeps the old journal.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -37,6 +41,11 @@ namespace clrearly::server {
 /// One journal record version. Readers skip records tagged with a version
 /// they do not understand.
 inline constexpr int kJournalRecordVersion = 1;
+
+/// A record could not be made durable (write or fsync failed).
+struct JournalWriteError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
 
 /// Everything replay() recovers about one journaled job.
 struct JournalEntry {
@@ -77,12 +86,16 @@ class JobJournal {
   void seed(const std::vector<JournalEntry>& entries);
 
   /// Record an admission: the full resolved spec plus priority and client
-  /// key. fsync'd before returning, so an acked 202 is never lost.
+  /// key. fsync'd before returning, so an acked 202 is never lost. Throws
+  /// JournalWriteError (and forgets the job) when the record could not be
+  /// made durable — the caller must not acknowledge it.
   void record_submitted(const JobRecord& job, JobPriority priority,
                         const std::string& client);
 
   /// Record a state transition. No-ops when `state` equals the last state
-  /// recorded for `id` (idempotent — the drain path re-reports states).
+  /// recorded for `id` (idempotent — the drain path re-reports states). A
+  /// failed write is counted and logged, not thrown: replay then re-runs
+  /// the job, whose result is deterministic.
   void record_state(const std::string& id, JobState state);
 
   std::size_t bytes_written() const;
@@ -96,15 +109,16 @@ class JobJournal {
     std::uint64_t seq = 0;
   };
 
-  void append_locked(const std::string& line);
+  /// Append one record + fsync; false (record cut back off) on failure.
+  bool append_locked(const std::string& line);
   void compact_locked();
-  void open_locked(const char* mode);
+  void open_locked();
 
   const std::string path_;
   const std::size_t compact_bytes_;
 
   mutable std::mutex mutex_;
-  std::FILE* file_ = nullptr;
+  int fd_ = -1;  ///< O_APPEND descriptor of path_
   std::size_t bytes_ = 0;
   std::uint64_t next_seq_ = 1;
   std::map<std::string, LiveJob> live_;  ///< non-terminal jobs only

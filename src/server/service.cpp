@@ -249,8 +249,21 @@ HttpResponse DseService::submit(const HttpRequest& request) {
                 static_cast<unsigned long long>(
                     next_id_.fetch_add(1) + 1));
   auto job = std::make_shared<JobRecord>(id_buf, std::move(spec), priority);
-  spool_spec(*job);
-  const std::optional<std::size_t> position = queue_.submit(job);
+  // Journal after admission (a refused job needs no recovery) but before
+  // any worker or client sees the job: once the client holds an accepted
+  // id, the job must survive a crash, and a job the journal could not
+  // record is withdrawn and never acknowledged.
+  std::optional<std::size_t> position;
+  try {
+    position = queue_.submit(job, /*force=*/false, [&] {
+      if (journal_ != nullptr) {
+        journal_->record_submitted(*job, priority, client);
+      }
+    });
+  } catch (const JournalWriteError& e) {
+    return HttpResponse::json(
+        503, error_body(std::string(e.what()) + "; job not accepted"));
+  }
   if (!position.has_value()) {
     HttpResponse response = HttpResponse::json(
         429, error_body("queue full (depth " +
@@ -259,10 +272,7 @@ HttpResponse DseService::submit(const HttpRequest& request) {
     response.with_header("Retry-After", "1");
     return response;
   }
-  // Journal after admission (a refused job needs no recovery) but before
-  // the 202: once the client holds an accepted id, the job must survive a
-  // crash.
-  if (journal_ != nullptr) journal_->record_submitted(*job, priority, client);
+  spool_spec(*job);
   util::log_info() << "serve: accepted " << job->id() << " flow "
                    << job->spec().flow << " seed " << job->spec().seed;
   return HttpResponse::json(

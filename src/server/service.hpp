@@ -3,7 +3,7 @@
 // unit-testable in process; server/server.hpp puts it behind a listener.
 //
 // API (all JSON; see docs/SERVER.md for the full reference):
-//   POST /v1/jobs              submit a JobSpec        -> 202 | 400 | 429
+//   POST /v1/jobs              submit a JobSpec        -> 202 | 400 | 429 | 503
 //   GET  /v1/jobs              list jobs
 //   GET  /v1/jobs/{id}         status + latest progress
 //   GET  /v1/jobs/{id}/events  progress events (?from=N), or a live SSE
@@ -15,7 +15,8 @@
 //   POST /v1/shutdown          request graceful shutdown
 //
 // Crash safety: with a spool directory configured, every admission and state
-// transition is journaled to <spool>/journal.jsonl (see server/journal.hpp).
+// transition is journaled to <spool>/journal.jsonl (see server/journal.hpp);
+// a submission the journal cannot record is refused with 503.
 // A restarted service replays the journal and re-enqueues interrupted jobs
 // in their original order — deterministic flows then produce bit-identical
 // results, as if the crash never happened.

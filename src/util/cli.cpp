@@ -165,22 +165,6 @@ ArgParser& add_cache_options(ArgParser& parser) {
                      "disable the memoization caches (same as --cache-size 0)");
 }
 
-ArgParser& add_island_options(ArgParser& parser) {
-  parser.option("islands",
-                "island-model NSGA-II sub-populations sharing the GA "
-                "population (1 = single population; docs/SCALING.md)",
-                "1");
-  parser.option("migration-interval",
-                "generations between ring migrations of non-dominated "
-                "individuals between islands",
-                "10");
-  return parser.option(
-      "migration-size",
-      "individuals each island emigrates per migration (0 disables "
-      "migration)",
-      "4");
-}
-
 void apply_cache_options(const ArgParser& parser) {
   if (parser.has("no-cache")) {
     set_cache_capacity(0);
@@ -195,7 +179,6 @@ bool parse_standard_args(ArgParser& parser, int argc, char** argv,
   add_threads_option(parser);
   add_log_level_option(parser, default_log_level);
   add_cache_options(parser);
-  add_island_options(parser);
   add_observability_options(parser);
   std::vector<std::string> args;
   args.reserve(argc > 1 ? static_cast<std::size_t>(argc - 1) : 0);

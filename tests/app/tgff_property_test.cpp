@@ -1,7 +1,7 @@
-// Property tests for generate_tgff_graph at the island-model bench scales
+// Property tests for generate_tgff_graph at the bench_scale sizes
 // (500/1000/2000 tasks, docs/SCALING.md): structural invariants, exact
 // sizing, and the determinism/stream-independence contract that the scaling
-// benchmark and the sharded DSE flows lean on.
+// benchmark leans on.
 #include <gtest/gtest.h>
 
 #include <queue>
@@ -88,9 +88,9 @@ TEST_P(TgffScalePropertyTest, SameSeedSameGraph) {
 }
 
 TEST_P(TgffScalePropertyTest, SplitStreamsAreIndependent) {
-  // The island model hands each shard a Rng::split stream; graphs generated
-  // from sibling streams must differ from each other and from the parent,
-  // and consuming one stream must not perturb the other.
+  // Graphs generated from sibling Rng::split streams must differ from each
+  // other and from the parent, and consuming one stream must not perturb
+  // the other.
   const TgffOptions o = scale_options(GetParam());
   util::Rng parent(505);
   util::Rng stream_a = parent.split();

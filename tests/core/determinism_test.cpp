@@ -14,7 +14,6 @@
 #include "app/sobel.hpp"
 #include "core/dse.hpp"
 #include "core/heuristics.hpp"
-#include "moea/island.hpp"
 #include "core/sim_bridge.hpp"
 #include "platform/architecture.hpp"
 #include "sim/schedule_sim.hpp"
@@ -181,45 +180,16 @@ TEST_F(DeterminismTest, ScheduleSimulatorIsThreadCountInvariant) {
   EXPECT_GT(serial.makespan_mean_us, 0.0);
 }
 
-TEST_F(DeterminismTest, IslandFlowIsThreadCountInvariant) {
-  // The island-model layer carries the same contract as every flow above:
-  // per-island split streams, serial migration and merge, so the sharded
-  // fcCLR run is bit-identical at any worker count.
-  const core::DseMethodology dse = methodology();
-  core::DseOptions o = options();
-  o.island.islands = 3;
-  o.island.migration_interval = 3;
-  o.island.migration_size = 2;
-  util::set_thread_count(1);
-  const core::DseOutcome serial = dse.run_fcclr(o);
-  util::set_thread_count(4);
-  const core::DseOutcome parallel = dse.run_fcclr(o);
-  ASSERT_FALSE(serial.front.empty());
-  expect_identical(serial, parallel);
-}
-
-TEST_F(DeterminismTest, IslandFlowIsRepeatableAcrossRuns) {
-  const core::DseMethodology dse = methodology();
-  core::DseOptions o = options();
-  o.island.islands = 4;
-  o.island.migration_interval = 2;
-  o.island.migration_size = 1;
-  const core::DseOutcome first = dse.run_fcclr(o);
-  const core::DseOutcome second = dse.run_fcclr(o);
-  ASSERT_FALSE(first.front.empty());
-  expect_identical(first, second);
-}
-
-TEST_F(DeterminismTest, Islands1MatchesHandRolledNsga2) {
-  // --islands 1 through the DSE entry point must reproduce the pre-island
-  // single-population flow bit for bit: same heuristic seeding, same RNG
-  // stream, same front. Pinned on both paper applications.
+TEST_F(DeterminismTest, FcclrFlowMatchesHandRolledNsga2) {
+  // The fcCLR flow through the DSE entry point must reproduce a hand-rolled
+  // run_nsga2 call bit for bit: same heuristic seeding, same RNG stream,
+  // same front. Pinned on both paper applications.
   for (const app::Application& application :
        {app::make_sobel_application(), app::make_mjpeg_application()}) {
     const core::DseMethodology dse(application,
                                    platform::Architecture::paper_default(),
                                    reliability::TaskAnalyzer::paper_default());
-    core::DseOptions o = options();  // island.islands defaults to 1
+    core::DseOptions o = options();
     o.heuristic_seed = true;  // run_fcclr only seeds with HEFT when asked to
     const core::ClrMappingProblem problem = dse.build_fcclr_problem(o);
 

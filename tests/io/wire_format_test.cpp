@@ -221,27 +221,31 @@ TEST(WireFormatTest, RejectsMalformedResilience) {
                std::runtime_error);
 }
 
-TEST(WireFormatTest, IslandsRoundTripThroughJson) {
-  io::JobSpec spec = small_spec();
-  spec.island.islands = 4;
-  spec.island.migration_interval = 7;
-  spec.island.migration_size = 9;
-  const io::JobSpec back =
-      io::job_spec_from_json(util::json_parse(canon(spec)));
-  EXPECT_EQ(canon(spec), canon(back));
-  EXPECT_EQ(back.island.islands, 4u);
-  EXPECT_EQ(back.island.migration_interval, 7u);
-  EXPECT_EQ(back.island.migration_size, 9u);
-  EXPECT_EQ(back.island, spec.island);
+TEST(WireFormatTest, LegacyIslandsCountOneParsesAndIsIgnored) {
+  // Specs and journals written before the island model's removal carry
+  // this object; it still parses, to the same job as a spec without it.
+  const io::JobSpec legacy = io::job_spec_from_json(util::json_parse(R"({
+    "format_version": 1, "application": "sobel",
+    "islands": {"count": 1, "migration_interval": 10, "migration_size": 4}
+  })"));
+  const io::JobSpec plain = io::job_spec_from_json(util::json_parse(R"({
+    "format_version": 1, "application": "sobel"
+  })"));
+  EXPECT_EQ(canon(legacy), canon(plain));
+  EXPECT_EQ(legacy.model_key(), plain.model_key());
 }
 
 TEST(WireFormatTest, IslandsAbsentKeepsSinglePopulationDefaults) {
+  // Every job searches one population: a spec without the key parses, and
+  // no spec serializes it any more.
   const io::JobSpec spec = io::job_spec_from_json(util::json_parse(R"({
     "format_version": 1,
     "application": "sobel"
   })"));
-  EXPECT_EQ(spec.island, moea::IslandParams{});
-  EXPECT_EQ(spec.island.islands, 1u);
+  EXPECT_EQ(io::to_json(spec).find("islands"), nullptr);
+  EXPECT_EQ(io::to_json(small_spec()).find("islands"), nullptr);
+  EXPECT_EQ(canon(io::job_spec_from_json(util::json_parse(canon(spec)))),
+            canon(spec));
 }
 
 TEST(WireFormatTest, RejectsMalformedIslands) {
@@ -253,6 +257,23 @@ TEST(WireFormatTest, RejectsMalformedIslands) {
                std::runtime_error);
   EXPECT_THROW(io::job_spec_from_json(util::json_parse(R"({
                  "format_version": 1, "application": "sobel",
+                 "islands": {"count": 1, "migration_epochs": 3}
+               })")),
+               std::runtime_error);
+  // Any count but 1 asks for the removed island model; the error says so.
+  try {
+    io::job_spec_from_json(util::json_parse(R"({
+      "format_version": 1, "application": "sobel",
+      "islands": {"count": 4, "migration_interval": 5, "migration_size": 16}
+    })"));
+    ADD_FAILURE() << "islands.count 4 parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("island model was removed"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(io::job_spec_from_json(util::json_parse(R"({
+                 "format_version": 1, "application": "sobel",
                  "islands": {"count": 0}
                })")),
                std::runtime_error);
@@ -261,21 +282,12 @@ TEST(WireFormatTest, RejectsMalformedIslands) {
                  "islands": {"count": 2, "migration_interval": 0}
                })")),
                std::runtime_error);
-}
-
-TEST(WireFormatTest, ModelKeySeesIslandChanges) {
-  // Island sharding changes which search ran, and ModelSession mirrors the
-  // spec's island half (server/job.cpp), so the key must see it.
-  const io::JobSpec a = small_spec();
-  io::JobSpec b = a;
-  b.island.islands = 4;
-  EXPECT_NE(a.model_key(), b.model_key());
-  io::JobSpec c = a;
-  c.island.migration_interval = 3;
-  EXPECT_NE(a.model_key(), c.model_key());
-  io::JobSpec d = a;
-  d.island.migration_size = 12;
-  EXPECT_NE(a.model_key(), d.model_key());
+  // A legacy count of 1 still has its migration values validated.
+  EXPECT_THROW(io::job_spec_from_json(util::json_parse(R"({
+                 "format_version": 1, "application": "sobel",
+                 "islands": {"count": 1, "migration_interval": 0}
+               })")),
+               std::runtime_error);
 }
 
 TEST(WireFormatTest, ModelKeySeesResilienceChanges) {

@@ -1,16 +1,19 @@
 // JobJournal tests: record round-tripping, torn-tail tolerance, version
-// skipping, compaction, and the headline crash-safety property — a daemon
-// SIGKILL'd with admitted jobs still pending resumes them after restart and
-// produces bit-identical results.
+// skipping, compaction, write-failure handling, replay of records written
+// before the island model's removal, and the headline crash-safety property
+// — a daemon SIGKILL'd with admitted jobs still pending resumes them after
+// restart and produces bit-identical results.
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "server/journal.hpp"
 #include "server/service.hpp"
 #include "util/json.hpp"
+#include "util/metrics.hpp"
 
 namespace clrearly::server {
 namespace {
@@ -173,6 +177,35 @@ TEST(JournalTest, CompactionKeepsOnlyLiveJobs) {
   EXPECT_EQ(entries[0].last_state, JobState::kQueued);
 }
 
+TEST(JournalTest, FailedCompactionKeepsTheOldJournal) {
+  // The compaction temp file is a symlink to /dev/full, so its write fails
+  // with ENOSPC: the temp file goes, the old journal stays whole.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  const std::string dir = fresh_dir("journal_compact_fail");
+  const std::string path = dir + "/journal.jsonl";
+  const util::Counter& errors =
+      util::metric_counter("server.journal.write_errors");
+  const std::uint64_t errors_before = errors.value();
+  JobJournal journal(path, /*compact_bytes=*/1);
+  std::filesystem::create_symlink("/dev/full", path + ".tmp");
+  journal.record_submitted(JobRecord("job-000001", tiny_spec(1)),
+                           JobPriority::kNormal, "default");
+  EXPECT_EQ(errors.value(), errors_before + 1);
+  EXPECT_FALSE(std::filesystem::is_symlink(path + ".tmp"));
+  // Renaming the temp file over the journal would make it /dev/full, which
+  // replay would read forever.
+  ASSERT_FALSE(std::filesystem::is_symlink(path));
+  ASSERT_EQ(JobJournal::replay(path).size(), 1u);
+
+  // The next compaction succeeds and still holds every live job.
+  journal.record_submitted(JobRecord("job-000002", tiny_spec(2)),
+                           JobPriority::kNormal, "default");
+  EXPECT_EQ(errors.value(), errors_before + 1);
+  const std::vector<JournalEntry> entries = JobJournal::replay(path);
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[1].id, "job-000002");
+}
+
 TEST(JournalTest, SeedCompactsAwayTerminalJobsOnRestart) {
   const std::string dir = fresh_dir("journal_seed");
   const std::string path = dir + "/journal.jsonl";
@@ -194,6 +227,93 @@ TEST(JournalTest, SeedCompactsAwayTerminalJobsOnRestart) {
   const std::vector<JournalEntry> second = JobJournal::replay(path);
   ASSERT_EQ(second.size(), 1u);
   EXPECT_EQ(second[0].id, "job-000002");
+}
+
+TEST(JournalTest, WriteFailureAnswers503AndKeepsEarlierJobs) {
+  // A full disk without a production hook: a forked child caps its own
+  // file size (RLIMIT_FSIZE) just past the journal, with SIGXFSZ ignored so
+  // the failing write returns EFBIG instead of killing the process. The
+  // child's exit code names the first check that failed (0 = all held).
+  const std::string spool = fresh_dir("journal_write_error_spool");
+  const std::string journal = spool + "/journal.jsonl";
+  const std::string body = job_body(/*seed=*/21, /*generations=*/2);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0) << "fork failed";
+  if (child == 0) {
+    ServiceOptions options;
+    options.workers = 1;
+    options.spool_dir = spool;
+    DseService service(options);
+    if (service.handle(make_request("POST", "/v1/jobs", body)).status != 202) {
+      ::_exit(10);
+    }
+    const util::Counter& errors =
+        util::metric_counter("server.journal.write_errors");
+    const std::uint64_t errors_before = errors.value();
+    ::signal(SIGXFSZ, SIG_IGN);
+    rlimit limit{};
+    if (::getrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(11);
+    const rlim_t unlimited = limit.rlim_cur;
+    limit.rlim_cur = std::filesystem::file_size(journal) + 16;
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(11);
+
+    // The submit record cannot be made durable: 503, counted, withdrawn.
+    const HttpResponse refused =
+        service.handle(make_request("POST", "/v1/jobs", body));
+    if (refused.status != 503) ::_exit(12);
+    if (errors.value() <= errors_before) ::_exit(13);
+    if (service.queue().find("job-000002") != nullptr) ::_exit(14);
+    if (std::filesystem::exists(spool + "/job-000002.spec.json")) ::_exit(15);
+
+    // Room again: the next submit lands behind no torn record.
+    limit.rlim_cur = unlimited;
+    if (::setrlimit(RLIMIT_FSIZE, &limit) != 0) ::_exit(11);
+    if (service.handle(make_request("POST", "/v1/jobs", body)).status != 202) {
+      ::_exit(16);
+    }
+    ::_exit(0);  // skip the drain: only the journal matters here
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status)) << "child died (status " << status << ")";
+  ASSERT_EQ(WEXITSTATUS(status), 0) << "child check failed";
+
+  // Replay sees every acknowledged job and nothing of the refused one.
+  JournalReplayStats stats;
+  const std::vector<JournalEntry> entries = JobJournal::replay(journal, &stats);
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].id, "job-000001");
+  EXPECT_EQ(entries[1].id, "job-000003");
+  EXPECT_EQ(stats.dropped_torn, 0u);
+}
+
+TEST(JournalTest, LegacySubmitLineReplaysBitIdentically) {
+  // A submit record written before the island model's removal: its spec
+  // carries the legacy "islands": {"count": 1, ...} object. It must still
+  // replay and re-run to the front that build recorded, bit for bit.
+  const std::string data = CLREARLY_TEST_DATA_DIR;
+  const std::string spool = fresh_dir("journal_legacy_spool");
+  std::filesystem::copy_file(data + "/legacy_islands_submit.jsonl",
+                             spool + "/journal.jsonl");
+  std::ifstream in(data + "/legacy_islands_front.json");
+  std::stringstream text;
+  text << in.rdbuf();
+  const util::JsonValue expected = util::json_parse(text.str());
+
+  ServiceOptions options;
+  options.workers = 1;
+  options.spool_dir = spool;
+  DseService revived(options);
+  EXPECT_EQ(revived.replay_stats().records, 1u);
+  EXPECT_EQ(revived.replay_stats().skipped_version, 0u);
+  ASSERT_EQ(wait_terminal(revived, "job-000001"), "done");
+  const HttpResponse response =
+      revived.handle(make_request("GET", "/v1/jobs/job-000001/result"));
+  ASSERT_EQ(response.status, 200) << response.body;
+  const util::JsonValue result = util::json_parse(response.body);
+  EXPECT_EQ(result.at("front"), expected.at("front"));
+  EXPECT_EQ(result.at("evaluations"), expected.at("evaluations"));
+  revived.shutdown(/*cancel_pending=*/false);
 }
 
 TEST(JournalTest, KillAndRestartReplaysBitIdentically) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <stdexcept>
 
 #include "reliability/clr_chain_builder.hpp"
@@ -79,6 +80,11 @@ struct InjectionCase {
   double chk_err;
 };
 
+// Without a printer gtest names each case after the raw bytes of the struct,
+// whose first field is a pointer: the discovered test names would then change
+// with the load address on every build. Print the label instead.
+void PrintTo(const InjectionCase& c, std::ostream* os) { *os << c.label; }
+
 class InjectionAgreementTest
     : public ::testing::TestWithParam<InjectionCase> {};
 
@@ -116,7 +122,7 @@ INSTANTIATE_TEST_SUITE_P(
         InjectionCase{"full_stack", 5e-4, 0.72, 0.1, 0.92, 0.98, 0.6, 3, 0},
         InjectionCase{"chk_err", 3e-4, 0, 0, 1.0, 1.0, 0, 2, 0.2},
         InjectionCase{"high_flux", 2e-3, 0.4, 0.05, 0.9, 0.9, 0.8, 4, 0},
-        InjectionCase{"implicit_masking", 3e-4, 0, 0.2, 0, 0, 0, 1, 0}),
+        InjectionCase{"implicit_ssw", 3e-4, 0, 0.2, 0, 0, 0, 1, 0}),
     [](const auto& info) { return info.param.label; });
 
 // --- Unequal intervals agree too ----------------------------------------------------

@@ -44,7 +44,6 @@
 #include "sim/validate.hpp"
 #include "io/serialize.hpp"
 #include "moea/hypervolume.hpp"
-#include "moea/island.hpp"
 #include "platform/architecture.hpp"
 #include "sched/timeline.hpp"
 #include "server/server.hpp"
@@ -73,7 +72,6 @@ void declare_common(util::ArgParser& parser) {
   parser.flag("help", "show this help");
   util::add_threads_option(parser);
   util::add_cache_options(parser);
-  util::add_island_options(parser);
   util::add_observability_options(parser);
 }
 
@@ -255,7 +253,6 @@ int cmd_dse(const std::vector<std::string>& args) {
   options.ga.population_size = parser.get_uint("pop");
   options.ga.generations = parser.get_uint("gens");
   options.seed = parser.get_uint("seed");
-  options.island = moea::island_params_from_args(parser);
   if (parser.get_number("min-frel") > 0.0) {
     options.spec.min_functional_rel = parser.get_number("min-frel");
   }
@@ -361,7 +358,6 @@ int cmd_simulate(const std::vector<std::string>& args) {
   options.ga.population_size = parser.get_uint("pop");
   options.ga.generations = parser.get_uint("gens");
   options.seed = parser.get_uint("seed");
-  options.island = moea::island_params_from_args(parser);
 
   // Run the flow and build a problem in the *same encoding* as the returned
   // genomes (pfCLR fronts decode against the pfCLR problem over the same
