@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
     const core::MappingGenome& genome = outcome.front_genomes[i];
     const core::ResilientProblem::AnalyticPrediction pred =
         problem.analytic_prediction(genome);
-    const sim::FailureSimResult injected =
+    const sim::SimResult injected =
         core::simulate_resilient_design_point(problem, genome, trials,
                                               sim_seed);
     const bool availability_ok =
@@ -111,14 +111,13 @@ int main(int argc, char** argv) {
   // ---- Determinism: injector bit-identical at 1 vs 4 threads ----
   const core::MappingGenome& probe = outcome.front_genomes.front();
   util::set_thread_count(1);
-  const sim::FailureSimResult serial =
+  const sim::SimResult serial =
       core::simulate_resilient_design_point(problem, probe, trials, sim_seed);
   util::set_thread_count(4);
-  const sim::FailureSimResult parallel =
+  const sim::SimResult parallel =
       core::simulate_resilient_design_point(problem, probe, trials, sim_seed);
   util::set_thread_count(0);
-  const bool deterministic =
-      sim::failure_sim_results_identical(serial, parallel);
+  const bool deterministic = sim::sim_results_identical(serial, parallel);
   std::printf("determinism (%zu trials, 1 vs 4 threads): %s\n", trials,
               deterministic ? "identical" : "DIVERGED");
 

@@ -12,8 +12,9 @@
 // the loss of any k PEs stays above threshold").
 //
 // The analytic_prediction() mixture over failure-set probabilities is the
-// quantity the Monte Carlo fault-injection oracle (sim::simulate_with_failures
-// via core/sim_bridge) estimates; docs/RESILIENCE.md derives both sides.
+// quantity the Monte Carlo fault-injection oracle (sim::simulate via
+// core::simulate_resilient_design_point) estimates; docs/RESILIENCE.md
+// derives both sides.
 #pragma once
 
 #include <cstddef>

@@ -1,21 +1,27 @@
 #include "core/sim_bridge.hpp"
 
 #include <utility>
+#include <vector>
 
 namespace clrearly::core {
 
-SimDesignPoint make_sim_design_point(const ClrMappingProblem& problem,
-                                     const MappingGenome& genome,
-                                     std::string label) {
+namespace {
+
+/// One design point in simulator form: per-task fault-process parameters +
+/// PE bindings + powers, and the genome's schedule priority order, run with
+/// the PEs in `failed` lost.
+sim::SimVariant make_sim_variant(const ClrMappingProblem& problem,
+                                 const MappingGenome& genome,
+                                 std::vector<char> failed = {}) {
   const app::Application& app = problem.application();
   const platform::Architecture& arch = problem.architecture();
   const std::vector<ClrMappingProblem::ResolvedTask> resolved =
       problem.resolve(genome);
 
-  SimDesignPoint point;
-  point.label = std::move(label);
-  point.priority_order = genome.order;
-  point.tasks.reserve(resolved.size());
+  sim::SimVariant variant;
+  variant.priority_order = genome.order;
+  variant.failed = std::move(failed);
+  variant.tasks.reserve(resolved.size());
   for (std::size_t t = 0; t < resolved.size(); ++t) {
     const std::size_t type = app.graph.task(t).type;
     const reliability::BaseImpl& impl =
@@ -25,57 +31,41 @@ SimDesignPoint make_sim_design_point(const ClrMappingProblem& problem,
         impl, arch.type_of(resolved[t].pe), resolved[t].config);
     task.pe = resolved[t].pe;
     task.power_w = resolved[t].metrics.avg_power_w;
-    point.tasks.push_back(std::move(task));
+    variant.tasks.push_back(std::move(task));
   }
-  return point;
+  return variant;
 }
+
+}  // namespace
 
 sim::SimResult simulate_design_point(const ClrMappingProblem& problem,
                                      const MappingGenome& genome,
                                      const sim::SimOptions& options) {
-  const SimDesignPoint point = make_sim_design_point(problem, genome);
-  return sim::simulate_schedule(problem.application().graph,
-                                problem.architecture(), point.tasks,
-                                point.priority_order, options);
+  return sim::simulate(problem.application().graph, problem.architecture(),
+                       {make_sim_variant(problem, genome)}, options);
 }
 
-ResilientSimPoint make_resilient_sim_point(const ResilientProblem& problem,
-                                           const MappingGenome& genome) {
+sim::SimResult simulate_resilient_design_point(const ResilientProblem& problem,
+                                               const MappingGenome& genome,
+                                               std::size_t trials,
+                                               std::uint64_t seed) {
   const ClrMappingProblem& nominal = problem.nominal();
-  const std::size_t num_pes = nominal.architecture().num_pes();
-
-  ResilientSimPoint point;
-  point.failure_probabilities = problem.failure_probabilities();
-
-  const SimDesignPoint healthy = make_sim_design_point(nominal, genome);
-  point.variants.push_back({healthy.tasks, healthy.priority_order});
-  point.variant_failures.emplace_back(num_pes, 0);
-
+  // variants[0] is the nominal mapping; variants[i > 0] the repaired
+  // mapping for the failure set variants[i].failed. Failure sets without a
+  // repair get no variant, so trials drawing one count as unavailable.
+  std::vector<sim::SimVariant> variants = {make_sim_variant(nominal, genome)};
   for (const ResilientProblem::DegradedMode& mode :
        problem.degraded_modes(genome)) {
-    if (!mode.repairable) {
-      point.unrepairable_sets.push_back(mode.failed);
-      continue;
+    if (mode.repairable) {
+      variants.push_back(make_sim_variant(nominal, mode.mapping, mode.failed));
     }
-    const SimDesignPoint degraded =
-        make_sim_design_point(nominal, mode.mapping);
-    point.variants.push_back({degraded.tasks, degraded.priority_order});
-    point.variant_failures.push_back(mode.failed);
   }
-  return point;
-}
-
-sim::FailureSimResult simulate_resilient_design_point(
-    const ResilientProblem& problem, const MappingGenome& genome,
-    std::size_t trials, std::uint64_t seed) {
-  const ResilientSimPoint point = make_resilient_sim_point(problem, genome);
-  sim::FailureSimOptions options;
+  sim::SimOptions options;
   options.trials = trials;
   options.seed = seed;
-  options.pe_failure_prob = point.failure_probabilities;
-  return sim::simulate_with_failures(
-      problem.nominal().application().graph, problem.nominal().architecture(),
-      point.variants, point.variant_failures, options);
+  options.pe_failure_prob = problem.failure_probabilities();
+  return sim::simulate(nominal.application().graph, nominal.architecture(),
+                       variants, options);
 }
 
 }  // namespace clrearly::core

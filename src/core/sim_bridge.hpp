@@ -9,8 +9,8 @@
 // aggregation approximations alone, never to diverging task models.
 #pragma once
 
-#include <string>
-#include <vector>
+#include <cstddef>
+#include <cstdint>
 
 #include "core/encoding.hpp"
 #include "core/problem.hpp"
@@ -19,51 +19,22 @@
 
 namespace clrearly::core {
 
-/// One design point in simulator form: per-task fault-process parameters +
-/// PE bindings + powers, and the genome's schedule priority order.
-struct SimDesignPoint {
-  std::string label;
-  std::vector<sim::SimTask> tasks;
-  std::vector<std::size_t> priority_order;
-};
-
-/// Resolve `genome` against `problem` into simulator inputs. Works for both
-/// fcCLR and pfCLR problems (pfCLR Pareto points carry their implementation
-/// index and CLR configuration, which chain_params re-expands). Throws like
+/// Resolve `genome` against `problem` into simulator inputs and run
+/// sim::simulate on them (a nominal run). Works for both fcCLR and pfCLR
+/// problems (pfCLR Pareto points carry their implementation index and CLR
+/// configuration, which chain_params re-expands). Throws like
 /// ClrMappingProblem::decode on malformed genomes.
-SimDesignPoint make_sim_design_point(const ClrMappingProblem& problem,
-                                     const MappingGenome& genome,
-                                     std::string label = {});
-
-/// Convenience: bridge + simulate in one call.
 sim::SimResult simulate_design_point(const ClrMappingProblem& problem,
                                      const MappingGenome& genome,
                                      const sim::SimOptions& options);
 
-/// A k-resilient design point in fault-injection form: the nominal mapping
-/// plus every repairable degraded mode as an executable sim variant, ready
-/// for sim::simulate_with_failures.
-struct ResilientSimPoint {
-  /// variants[0] is the nominal mapping; variants[i > 0] the repaired
-  /// mapping for variant_failures[i].
-  std::vector<sim::SimVariant> variants;
-  std::vector<std::vector<char>> variant_failures;
-  /// Per-PE mission loss probabilities (the problem's Weibull CDF values).
-  std::vector<double> failure_probabilities;
-  /// Enumerated failure sets no repair exists for — drawn trials landing on
-  /// one of these count as unavailable.
-  std::vector<std::vector<char>> unrepairable_sets;
-};
-
-/// Expand `genome` and all its degraded modes into fault-injection inputs.
+/// Expand a k-resilient `genome` into the nominal mapping plus every
+/// repairable degraded mode as a sim::SimVariant and inject permanent PE
+/// losses at the problem's own failure probabilities (a failure run).
 /// Throws like ClrMappingProblem::decode on malformed genomes.
-ResilientSimPoint make_resilient_sim_point(const ResilientProblem& problem,
-                                           const MappingGenome& genome);
-
-/// Convenience: bridge + inject in one call, wiring the problem's own
-/// failure probabilities into the options.
-sim::FailureSimResult simulate_resilient_design_point(
-    const ResilientProblem& problem, const MappingGenome& genome,
-    std::size_t trials, std::uint64_t seed);
+sim::SimResult simulate_resilient_design_point(const ResilientProblem& problem,
+                                               const MappingGenome& genome,
+                                               std::size_t trials,
+                                               std::uint64_t seed);
 
 }  // namespace clrearly::core

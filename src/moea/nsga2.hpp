@@ -336,9 +336,7 @@ inline double front_bbox_volume(const std::vector<Objectives>& points,
 
 }  // namespace detail
 
-/// Steppable NSGA-II: one engine = one population evolving generation by
-/// generation. run_nsga2 below is a thin wrapper (construct, advance to the
-/// end, finish) and stays bit-identical to the historical one-shot loop.
+/// Run NSGA-II start to finish over a single population.
 ///
 /// Every generation is two phases: a serial *variation* phase (selection,
 /// crossover, mutation — the only RNG consumers, drawn in the exact order
@@ -349,59 +347,57 @@ inline double front_bbox_volume(const std::vector<Objectives>& points,
 /// `seeds` pre-loads the initial population (truncated to the population
 /// size; the remainder is filled by ops.create) — this implements the
 /// paper's directed seeding of fcCLR with pfCLR's front.
-///
-/// The engine holds references to `ops` and `rng`; both must outlive it.
 template <typename Genome>
-class Nsga2Engine {
- public:
-  Nsga2Engine(const Nsga2Params& params, const Nsga2Ops<Genome>& ops,
-              util::Rng& rng, std::vector<Genome> seeds = {})
-      : params_(params), ops_(ops), rng_(rng) {
-    params_.validate();
-    if (!ops.create || !ops.crossover || !ops.mutate || !ops.evaluate) {
-      throw std::invalid_argument("run_nsga2: all ops callbacks are required");
-    }
-
-    result_.population.reserve(params_.population_size * 2);
-    // Objective / violation arrays are kept in lock-step with the population
-    // (evaluation results only ever get appended or selected, never
-    // changed), so nothing is rebuilt from scratch between phases.
-    points_.reserve(params_.population_size * 2);
-    violations_.reserve(params_.population_size * 2);
-
-    std::vector<Genome> batch;
-    batch.reserve(params_.population_size);
-    for (std::size_t i = 0; i < params_.population_size; ++i) {
-      batch.push_back((i < seeds.size()) ? std::move(seeds[i])
-                                         : ops_.create(rng_));
-    }
-    detail::evaluate_append(ops_, std::move(batch), result_.population,
-                            points_, violations_, result_.evaluations);
-    if (params_.archive_size > 0) {
-      detail::update_archive(result_.archive, result_.population,
-                             params_.archive_size);
-    }
-
-    next_.reserve(params_.population_size);
-    next_points_.reserve(params_.population_size);
-    next_violations_.reserve(params_.population_size);
+Nsga2Result<Genome> run_nsga2(const Nsga2Params& params,
+                              const Nsga2Ops<Genome>& ops, util::Rng& rng,
+                              std::vector<Genome> seeds = {}) {
+  params.validate();
+  if (!ops.create || !ops.crossover || !ops.mutate || !ops.evaluate) {
+    throw std::invalid_argument("run_nsga2: all ops callbacks are required");
   }
 
-  bool done() const noexcept { return generation_ >= params_.generations; }
+  Nsga2Result<Genome> result;
+  auto& population = result.population;
+  population.reserve(params.population_size * 2);
+  // Objective / violation arrays are kept in lock-step with the population
+  // (evaluation results only ever get appended or selected, never changed),
+  // so nothing is rebuilt from scratch between phases.
+  std::vector<Objectives> points;
+  std::vector<double> violations;
+  points.reserve(params.population_size * 2);
+  violations.reserve(params.population_size * 2);
 
-  /// Evolve one generation: rank, telemetry/hook, serial variation,
-  /// parallel evaluation, (mu + lambda) survivor selection, archive update.
-  void advance() {
-    if (done()) {
-      throw std::logic_error("Nsga2Engine::advance: already finished");
-    }
-    auto& population = result_.population;
-    const std::size_t gen = generation_;
+  std::vector<Genome> batch;
+  batch.reserve(params.population_size);
+  for (std::size_t i = 0; i < params.population_size; ++i) {
+    batch.push_back((i < seeds.size()) ? std::move(seeds[i]) : ops.create(rng));
+  }
+  detail::evaluate_append(ops, std::move(batch), population, points,
+                          violations, result.evaluations);
+  if (params.archive_size > 0) {
+    detail::update_archive(result.archive, population, params.archive_size);
+  }
 
+  // Registry lookups once per instantiation; the entries are shared by name.
+  static util::Counter& generations_metric =
+      util::metric_counter("nsga2.generations");
+  static util::Gauge& front_size_metric =
+      util::metric_gauge("nsga2.front_size");
+  static util::Gauge& hv_proxy_metric = util::metric_gauge("nsga2.hv_proxy");
+
+  // Scratch buffers for survivor selection, reused across generations.
+  std::vector<EvaluatedGenome<Genome>> next;
+  std::vector<Objectives> next_points;
+  std::vector<double> next_violations;
+  next.reserve(params.population_size);
+  next_points.reserve(params.population_size);
+  next_violations.reserve(params.population_size);
+
+  for (std::size_t gen = 0; gen < params.generations; ++gen) {
     const util::TraceSpan gen_span("nsga2.generation");
-    generations_metric().add();
+    generations_metric.add();
 
-    const RankCrowding rc = rank_and_crowding(points_, violations_);
+    const RankCrowding rc = rank_and_crowding(points, violations);
 
     // Per-generation convergence telemetry from already-computed data:
     // first-front size and the bounding-box hypervolume proxy. Pure reads —
@@ -410,25 +406,25 @@ class Nsga2Engine {
       std::size_t front_size = 0;
       for (std::size_t r : rc.rank) front_size += (r == 0) ? 1 : 0;
       const double hv_proxy =
-          detail::front_bbox_volume(points_, rc.rank, violations_);
-      front_size_metric().set(static_cast<double>(front_size));
-      hv_proxy_metric().set(hv_proxy);
+          detail::front_bbox_volume(points, rc.rank, violations);
+      front_size_metric.set(static_cast<double>(front_size));
+      hv_proxy_metric.set(hv_proxy);
       if (util::trace_enabled()) {
         util::trace_counter("nsga2.front_size",
                             static_cast<double>(front_size));
         util::trace_counter("nsga2.hv_proxy", hv_proxy);
       }
-      if (params_.on_generation) {
+      if (params.on_generation) {
         std::vector<Objectives> snapshot;
-        for (std::size_t i = 0; i < points_.size(); ++i) {
-          if (rc.rank[i] == 0 && violations_[i] == 0.0) {
-            snapshot.push_back(points_[i]);
+        for (std::size_t i = 0; i < points.size(); ++i) {
+          if (rc.rank[i] == 0 && violations[i] == 0.0) {
+            snapshot.push_back(points[i]);
           }
         }
-        params_.on_generation(GenerationProgress{gen, params_.generations,
-                                                 result_.evaluations,
-                                                 front_size, hv_proxy,
-                                                 &snapshot});
+        params.on_generation(GenerationProgress{gen, params.generations,
+                                                result.evaluations,
+                                                front_size, hv_proxy,
+                                                &snapshot});
       }
     }
 
@@ -438,122 +434,69 @@ class Nsga2Engine {
     };
 
     // Variation phase (lambda = mu), serial and RNG-ordered.
-    std::vector<Genome> batch;
-    batch.reserve(params_.population_size);
-    while (batch.size() < params_.population_size) {
+    batch.clear();
+    batch.reserve(params.population_size);
+    while (batch.size() < params.population_size) {
       const std::size_t pa = tournament_select(
-          params_.population_size, params_.tournament_k, rng_, better);
+          params.population_size, params.tournament_k, rng, better);
       const std::size_t pb = tournament_select(
-          params_.population_size, params_.tournament_k, rng_, better);
+          params.population_size, params.tournament_k, rng, better);
       Genome ca = population[pa].genome;
       Genome cb = population[pb].genome;
-      if (rng_.bernoulli(params_.crossover_prob)) {
-        auto [xa, xb] = ops_.crossover(ca, cb, rng_);
+      if (rng.bernoulli(params.crossover_prob)) {
+        auto [xa, xb] = ops.crossover(ca, cb, rng);
         ca = std::move(xa);
         cb = std::move(xb);
       }
-      if (rng_.bernoulli(params_.mutation_prob)) ops_.mutate(ca, rng_);
-      if (rng_.bernoulli(params_.mutation_prob)) ops_.mutate(cb, rng_);
+      if (rng.bernoulli(params.mutation_prob)) ops.mutate(ca, rng);
+      if (rng.bernoulli(params.mutation_prob)) ops.mutate(cb, rng);
 
       batch.push_back(std::move(ca));
-      if (batch.size() < params_.population_size) {
+      if (batch.size() < params.population_size) {
         batch.push_back(std::move(cb));
       }
     }
 
     // Evaluation phase over the whole batch, then (mu + lambda) elitist
     // survival over the combined arrays.
-    detail::evaluate_append(ops_, std::move(batch), population, points_,
-                            violations_, result_.evaluations);
-    select_survivors();
-
-    if (params_.archive_size > 0) {
-      detail::update_archive(result_.archive, population,
-                             params_.archive_size);
-    }
-    ++generation_;
-  }
-
-  /// Final front extraction + the final progress snapshot. Call exactly once,
-  /// after the last advance(); the engine is consumed.
-  Nsga2Result<Genome> finish() {
-    const auto fronts = non_dominated_sort(points_, violations_);
-    result_.front =
-        fronts.empty() ? std::vector<std::size_t>{} : fronts.front();
-    if (params_.on_generation) {
-      // Final snapshot after the last survivor selection, so observers
-      // always see generation == generations exactly once per completed run.
-      std::vector<std::size_t> rank(points_.size(), 1);
-      for (std::size_t i : result_.front) rank[i] = 0;
-      std::vector<Objectives> snapshot;
-      for (std::size_t i : result_.front) {
-        if (violations_[i] == 0.0) snapshot.push_back(points_[i]);
-      }
-      params_.on_generation(GenerationProgress{
-          params_.generations, params_.generations, result_.evaluations,
-          result_.front.size(),
-          detail::front_bbox_volume(points_, rank, violations_), &snapshot});
-    }
-    return std::move(result_);
-  }
-
- private:
-  // Process-wide metric handles; function-local statics so every engine
-  // instantiation shares one registry entry.
-  static util::Counter& generations_metric() {
-    static util::Counter& metric = util::metric_counter("nsga2.generations");
-    return metric;
-  }
-  static util::Gauge& front_size_metric() {
-    static util::Gauge& metric = util::metric_gauge("nsga2.front_size");
-    return metric;
-  }
-  static util::Gauge& hv_proxy_metric() {
-    static util::Gauge& metric = util::metric_gauge("nsga2.hv_proxy");
-    return metric;
-  }
-
-  void select_survivors() {
-    auto& population = result_.population;
-    const std::vector<std::size_t> keep = survivor_selection(
-        points_, violations_, params_.population_size);
-    next_.clear();
-    next_points_.clear();
-    next_violations_.clear();
+    detail::evaluate_append(ops, std::move(batch), population, points,
+                            violations, result.evaluations);
+    const std::vector<std::size_t> keep =
+        survivor_selection(points, violations, params.population_size);
+    next.clear();
+    next_points.clear();
+    next_violations.clear();
     for (std::size_t i : keep) {
-      next_.push_back(std::move(population[i]));
-      next_points_.push_back(std::move(points_[i]));
-      next_violations_.push_back(violations_[i]);
+      next.push_back(std::move(population[i]));
+      next_points.push_back(std::move(points[i]));
+      next_violations.push_back(violations[i]);
     }
-    population.swap(next_);
-    points_.swap(next_points_);
-    violations_.swap(next_violations_);
+    population.swap(next);
+    points.swap(next_points);
+    violations.swap(next_violations);
+
+    if (params.archive_size > 0) {
+      detail::update_archive(result.archive, population, params.archive_size);
+    }
   }
 
-  Nsga2Params params_;
-  const Nsga2Ops<Genome>& ops_;
-  util::Rng& rng_;
-  std::size_t generation_ = 0;
-
-  Nsga2Result<Genome> result_;
-  std::vector<Objectives> points_;
-  std::vector<double> violations_;
-
-  // Scratch buffers for survivor selection, reused across generations.
-  std::vector<EvaluatedGenome<Genome>> next_;
-  std::vector<Objectives> next_points_;
-  std::vector<double> next_violations_;
-};
-
-/// Run NSGA-II start to finish over a single population. See Nsga2Engine
-/// for the phase structure and the determinism contract.
-template <typename Genome>
-Nsga2Result<Genome> run_nsga2(const Nsga2Params& params,
-                              const Nsga2Ops<Genome>& ops, util::Rng& rng,
-                              std::vector<Genome> seeds = {}) {
-  Nsga2Engine<Genome> engine(params, ops, rng, std::move(seeds));
-  while (!engine.done()) engine.advance();
-  return engine.finish();
+  const auto fronts = non_dominated_sort(points, violations);
+  result.front = fronts.empty() ? std::vector<std::size_t>{} : fronts.front();
+  if (params.on_generation) {
+    // Final snapshot after the last survivor selection, so observers always
+    // see generation == generations exactly once per completed run.
+    std::vector<std::size_t> rank(points.size(), 1);
+    for (std::size_t i : result.front) rank[i] = 0;
+    std::vector<Objectives> snapshot;
+    for (std::size_t i : result.front) {
+      if (violations[i] == 0.0) snapshot.push_back(points[i]);
+    }
+    params.on_generation(GenerationProgress{
+        params.generations, params.generations, result.evaluations,
+        result.front.size(),
+        detail::front_bbox_volume(points, rank, violations), &snapshot});
+  }
+  return result;
 }
 
 }  // namespace clrearly::moea

@@ -1,11 +1,14 @@
 #include "server/service.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -27,6 +30,16 @@ std::string body_of(const util::JsonValue& value) {
 }
 
 /// json_serialize is multi-line; SSE `data:` payloads must be one line.
+/// Strict event cursor: decimal digits only — no sign, no whitespace, no
+/// trailing bytes, no overflow (std::stoul accepts all four).
+std::optional<std::size_t> parse_cursor(const std::string& text) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end || text.empty()) return std::nullopt;
+  return value;
+}
+
 std::string flatten(const std::string& json) {
   std::string flat;
   flat.reserve(json.size());
@@ -299,11 +312,11 @@ HttpResponse DseService::job_events(const HttpRequest& request,
   }
   std::size_t from = 0;
   if (const auto param = request.query_param("from")) {
-    try {
-      from = std::stoul(*param);
-    } catch (const std::exception&) {
+    const std::optional<std::size_t> cursor = parse_cursor(*param);
+    if (!cursor) {
       return HttpResponse::json(400, error_body("bad 'from' parameter"));
     }
+    from = *cursor;
   }
   util::JsonArray events;
   for (const ProgressEvent& event : job->events_since(from)) {
@@ -335,18 +348,18 @@ std::optional<HttpResponse> DseService::stream_events_sse(
   }
   std::size_t from = 0;
   if (const auto param = request.query_param("from")) {
-    try {
-      from = std::stoul(*param);
-    } catch (const std::exception&) {
+    const std::optional<std::size_t> cursor = parse_cursor(*param);
+    if (!cursor) {
       return HttpResponse::json(400, error_body("bad 'from' parameter"));
     }
+    from = *cursor;
   } else if (const std::string* last = request.header("last-event-id")) {
     // SSE reconnect: the browser replays the last id it saw; resume after.
-    try {
-      from = std::stoul(*last) + 1;
-    } catch (const std::exception&) {
+    const std::optional<std::size_t> cursor = parse_cursor(*last);
+    if (!cursor || *cursor == std::numeric_limits<std::size_t>::max()) {
       return HttpResponse::json(400, error_body("bad Last-Event-Id header"));
     }
+    from = *cursor + 1;
   }
 
   static util::Counter& streams = util::metric_counter("server.sse.streams");

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "sched/list_scheduler.hpp"
 #include "sim/event_queue.hpp"
@@ -18,10 +20,15 @@ namespace clrearly::sim {
 
 namespace {
 
+constexpr std::size_t kUnavailable = static_cast<std::size_t>(-1);
+
 /// Everything one trial contributes to the aggregate — written to slot
 /// `trial` of a pre-sized vector, so parallel execution is bit-identical to
 /// serial (the ThreadPool per-index contract).
 struct TrialOutcome {
+  /// Index of the executed variant; kUnavailable when no variant covered
+  /// the trial's drawn PE-failure set (nothing ran).
+  std::size_t variant = kUnavailable;
   double makespan_us = 0.0;
   double error_weight = 0.0;  ///< sum of zeta_t over corrupted tasks
   double energy_uj = 0.0;
@@ -112,6 +119,9 @@ TrialOutcome run_trial(const app::TaskGraph& graph,
 
 bool sim_results_identical(const SimResult& a, const SimResult& b) noexcept {
   return a.trials == b.trials &&                               //
+         a.available_trials == b.available_trials &&           //
+         a.availability == b.availability &&                   //
+         a.availability_ci == b.availability_ci &&             //
          a.makespan_mean_us == b.makespan_mean_us &&           //
          a.makespan_stddev_us == b.makespan_stddev_us &&       //
          a.makespan_min_us == b.makespan_min_us &&             //
@@ -126,72 +136,97 @@ bool sim_results_identical(const SimResult& a, const SimResult& b) noexcept {
          a.deadline_miss_rate == b.deadline_miss_rate &&       //
          a.deadline_miss_ci == b.deadline_miss_ci &&           //
          a.mean_faults == b.mean_faults &&                     //
-         a.mean_rollbacks == b.mean_rollbacks;
+         a.mean_rollbacks == b.mean_rollbacks &&               //
+         a.variant_trials == b.variant_trials;
 }
 
-SimResult simulate_schedule(const app::TaskGraph& graph,
-                            const platform::Architecture& architecture,
-                            const std::vector<SimTask>& tasks,
-                            const std::vector<std::size_t>& priority_order,
-                            const SimOptions& options) {
+SimResult simulate(const app::TaskGraph& graph,
+                   const platform::Architecture& architecture,
+                   const std::vector<SimVariant>& variants,
+                   const SimOptions& options) {
   const std::size_t n = graph.num_tasks();
   const std::size_t num_pes = architecture.num_pes();
-  if (tasks.size() != n) {
-    throw std::invalid_argument("simulate_schedule: task count mismatch");
+  const bool nominal = options.pe_failure_prob.empty();
+  if (variants.empty()) {
+    throw std::invalid_argument("simulate: no variants");
   }
-  if (priority_order.size() != n) {
+  if (nominal && variants.size() != 1) {
     throw std::invalid_argument(
-        "simulate_schedule: priority order size mismatch");
+        "simulate: several variants need pe_failure_prob");
   }
   if (options.trials == 0) {
-    throw std::invalid_argument("simulate_schedule: trials must be positive");
+    throw std::invalid_argument("simulate: trials must be positive");
   }
-  std::vector<std::size_t> rank(n, n);
-  for (std::size_t pos = 0; pos < n; ++pos) {
-    const std::size_t task = priority_order[pos];
-    if (task >= n || rank[task] != n) {
+  if (!nominal && options.pe_failure_prob.size() != num_pes) {
+    throw std::invalid_argument(
+        "simulate: PE failure probability count mismatch");
+  }
+  for (double q : options.pe_failure_prob) {
+    if (!(q >= 0.0 && q <= 1.0)) {
       throw std::invalid_argument(
-          "simulate_schedule: priority order is not a permutation of task "
-          "ids");
+          "simulate: PE failure probability outside [0, 1]");
     }
-    rank[task] = pos;
   }
-  std::vector<TaskSampler> samplers;
-  samplers.reserve(n);
-  for (const SimTask& task : tasks) {
-    if (task.pe >= num_pes) {
-      throw std::invalid_argument("simulate_schedule: PE index out of range");
+
+  // One validation pass per variant, precomputing its rank vector and
+  // samplers; plus the mask table failure trials dispatch on.
+  std::map<std::vector<char>, std::size_t> variant_of_mask;
+  std::vector<std::vector<std::size_t>> ranks(variants.size());
+  std::vector<std::vector<TaskSampler>> samplers(variants.size());
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    const SimVariant& variant = variants[v];
+    std::vector<char> mask = variant.failed;
+    if (mask.empty()) mask.assign(num_pes, 0);
+    if (mask.size() != num_pes) {
+      throw std::invalid_argument("simulate: failure mask size mismatch");
     }
-    samplers.emplace_back(task.chain);  // validates the chain parameters
-  }
-  {
-    // Kahn pass: reject cyclic graphs up front instead of stalling trials.
-    std::vector<std::size_t> pending(n);
-    std::vector<std::size_t> frontier;
-    for (std::size_t t = 0; t < n; ++t) {
-      pending[t] = graph.predecessors(t).size();
-      if (pending[t] == 0) frontier.push_back(t);
+    if (v == 0 &&
+        std::any_of(mask.begin(), mask.end(), [](char f) { return f != 0; })) {
+      throw std::invalid_argument(
+          "simulate: variant 0 must carry the no-failure mask");
     }
-    std::size_t visited = 0;
-    while (!frontier.empty()) {
-      const std::size_t t = frontier.back();
-      frontier.pop_back();
-      ++visited;
-      for (std::size_t succ : graph.successors(t)) {
-        if (--pending[succ] == 0) frontier.push_back(succ);
+    if (variant.tasks.size() != n) {
+      throw std::invalid_argument("simulate: task count mismatch");
+    }
+    if (variant.priority_order.size() != n) {
+      throw std::invalid_argument("simulate: priority order size mismatch");
+    }
+    ranks[v].assign(n, n);
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      const std::size_t task = variant.priority_order[pos];
+      if (task >= n || ranks[v][task] != n) {
+        throw std::invalid_argument(
+            "simulate: priority order is not a permutation of task ids");
       }
+      ranks[v][task] = pos;
     }
-    if (visited != n) {
-      throw std::invalid_argument(
-          "simulate_schedule: task graph contains a cycle");
+    samplers[v].reserve(n);
+    for (const SimTask& task : variant.tasks) {
+      if (task.pe >= num_pes) {
+        throw std::invalid_argument("simulate: PE index out of range");
+      }
+      if (mask[task.pe]) {
+        throw std::invalid_argument(
+            "simulate: variant maps a task onto a PE its own failure mask "
+            "kills");
+      }
+      samplers[v].emplace_back(task.chain);  // validates the chain parameters
+    }
+    if (!variant_of_mask.emplace(std::move(mask), v).second) {
+      throw std::invalid_argument("simulate: duplicate failure mask");
     }
   }
+  // Reject cyclic graphs up front instead of stalling trials.
+  (void)graph.topological_order();
 
   const std::vector<double> zeta = graph.normalized_criticality();
   const platform::Interconnect& interconnect = architecture.interconnect();
 
   // One child stream per trial, split off serially — stream i is the same
-  // object no matter which thread later consumes it.
+  // object no matter which thread later consumes it. Inside each stream the
+  // draw order is fixed: in a failure run first one uniform per PE in PE-id
+  // order (the mission survival draws), then — only if the drawn failure
+  // set is covered — the executed variant's task trials.
   util::Rng root(options.seed);
   std::vector<util::Rng> streams;
   streams.reserve(options.trials);
@@ -204,324 +239,107 @@ SimResult simulate_schedule(const app::TaskGraph& graph,
   {
     const util::TraceSpan span("sim.trial_batch");
     util::parallel_for(options.trials, [&](std::size_t i) {
-      outcomes[i] = run_trial(graph, interconnect, tasks, samplers, rank, zeta,
-                              num_pes, options.deadline_us, streams[i]);
+      util::Rng& rng = streams[i];
+      std::size_t v = 0;
+      if (!nominal) {
+        std::vector<char> mask(num_pes, 0);
+        for (std::size_t p = 0; p < num_pes; ++p) {
+          mask[p] = rng.uniform() < options.pe_failure_prob[p] ? 1 : 0;
+        }
+        const auto it = variant_of_mask.find(mask);
+        if (it == variant_of_mask.end()) return;  // unavailable: nothing runs
+        v = it->second;
+      }
+      outcomes[i] =
+          run_trial(graph, interconnect, variants[v].tasks, samplers[v],
+                    ranks[v], zeta, num_pes, options.deadline_us, rng);
+      outcomes[i].variant = v;
     });
   }
   const double elapsed_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+
+  // Serial aggregation in trial order over the available trials —
+  // identical whatever the thread count.
+  SimResult result;
+  result.trials = options.trials;
+  result.deadline_us = options.deadline_us;
+  result.variant_trials.assign(variants.size(), 0);
+  double error_weight = 0.0;
+  double misses = 0.0;
+  for (const TrialOutcome& o : outcomes) {
+    if (o.variant == kUnavailable) continue;
+    ++result.variant_trials[o.variant];
+    ++result.available_trials;
+    if (o.deadline_miss) misses += 1.0;
+  }
+  const std::size_t available = result.available_trials;
 
   {
     static util::Counter& runs_metric = util::metric_counter("sim.runs");
     static util::Counter& trials_metric = util::metric_counter("sim.trials");
     static util::Counter& misses_metric =
         util::metric_counter("sim.deadline_misses");
+    static util::Counter& lost_metric =
+        util::metric_counter("sim.unavailable_trials");
     runs_metric.add();
     trials_metric.add(options.trials);
-    std::uint64_t miss_count = 0;
-    for (const TrialOutcome& o : outcomes) miss_count += o.deadline_miss;
-    misses_metric.add(miss_count);
+    misses_metric.add(static_cast<std::uint64_t>(misses));
+    lost_metric.add(options.trials - available);
     util::observe_seconds("sim.batch_seconds", elapsed_s);
   }
 
-  // Serial aggregation in trial order — identical whatever the thread count.
-  SimResult result;
-  result.trials = options.trials;
-  result.deadline_us = options.deadline_us;
-  const double inv_n = 1.0 / static_cast<double>(options.trials);
-  double error_weight = 0.0;
-  double misses = 0.0;
-  result.makespan_min_us = outcomes.front().makespan_us;
-  result.makespan_max_us = outcomes.front().makespan_us;
+  result.availability =
+      static_cast<double>(available) / static_cast<double>(options.trials);
+  result.availability_ci =
+      util::wilson_interval_95(static_cast<double>(available), options.trials);
+  result.trials_per_sec =
+      elapsed_s > 0.0 ? static_cast<double>(options.trials) / elapsed_s : 0.0;
+  if (available == 0) return result;
+
+  const double inv_n = 1.0 / static_cast<double>(available);
+  result.makespan_min_us = std::numeric_limits<double>::infinity();
+  result.makespan_max_us = -std::numeric_limits<double>::infinity();
   for (const TrialOutcome& o : outcomes) {
+    if (o.variant == kUnavailable) continue;
     result.makespan_mean_us += o.makespan_us * inv_n;
     result.energy_mean_uj += o.energy_uj * inv_n;
     result.mean_faults += o.faults * inv_n;
     result.mean_rollbacks += o.rollbacks * inv_n;
     error_weight += o.error_weight;
-    if (o.deadline_miss) misses += 1.0;
     result.makespan_min_us = std::min(result.makespan_min_us, o.makespan_us);
     result.makespan_max_us = std::max(result.makespan_max_us, o.makespan_us);
   }
-  if (options.trials > 1) {
+  if (available > 1) {
     double makespan_m2 = 0.0;
     double energy_m2 = 0.0;
     for (const TrialOutcome& o : outcomes) {
+      if (o.variant == kUnavailable) continue;
       const double dm = o.makespan_us - result.makespan_mean_us;
       const double de = o.energy_uj - result.energy_mean_uj;
       makespan_m2 += dm * dm;
       energy_m2 += de * de;
     }
-    const double inv_n1 = 1.0 / static_cast<double>(options.trials - 1);
+    const double inv_n1 = 1.0 / static_cast<double>(available - 1);
     result.makespan_stddev_us = std::sqrt(makespan_m2 * inv_n1);
     result.energy_stddev_uj = std::sqrt(energy_m2 * inv_n1);
   }
   result.makespan_ci_us = util::confidence_interval_95(
-      result.makespan_mean_us, result.makespan_stddev_us, options.trials);
+      result.makespan_mean_us, result.makespan_stddev_us, available);
   result.energy_ci_uj = util::confidence_interval_95(
-      result.energy_mean_uj, result.energy_stddev_uj, options.trials);
+      result.energy_mean_uj, result.energy_stddev_uj, available);
   // Per-trial error weights are zeta-normalized into [0, 1], so the sum is
   // mathematically <= trials — but the serial accumulation can land an ulp
   // above it, which wilson_interval_95 now rejects. Clamp the rounding
   // noise, not real accounting bugs (those exceed trials by whole weights).
-  error_weight =
-      std::min(error_weight, static_cast<double>(options.trials));
+  error_weight = std::min(error_weight, static_cast<double>(available));
   result.error_prob = error_weight * inv_n;
-  result.error_ci = util::wilson_interval_95(error_weight, options.trials);
+  result.error_ci = util::wilson_interval_95(error_weight, available);
   if (options.deadline_us > 0.0) {
     result.deadline_miss_rate = misses * inv_n;
-    result.deadline_miss_ci = util::wilson_interval_95(misses, options.trials);
+    result.deadline_miss_ci = util::wilson_interval_95(misses, available);
   }
-  result.trials_per_sec =
-      elapsed_s > 0.0 ? static_cast<double>(options.trials) / elapsed_s : 0.0;
-  return result;
-}
-
-// ------------------------------------------- permanent-fault injection
-
-namespace {
-
-/// Slot written by one failure-injection trial. `variant` is the index of
-/// the executed variant; meaningless when !available.
-struct FailureTrialOutcome {
-  bool available = false;
-  std::size_t variant = 0;
-  TrialOutcome out;
-};
-
-}  // namespace
-
-bool failure_sim_results_identical(const FailureSimResult& a,
-                                   const FailureSimResult& b) noexcept {
-  return a.trials == b.trials &&                          //
-         a.available_trials == b.available_trials &&      //
-         a.availability == b.availability &&              //
-         a.availability_ci == b.availability_ci &&        //
-         a.makespan_mean_us == b.makespan_mean_us &&      //
-         a.makespan_stddev_us == b.makespan_stddev_us &&  //
-         a.makespan_ci_us == b.makespan_ci_us &&          //
-         a.error_prob == b.error_prob &&                  //
-         a.error_ci == b.error_ci &&                      //
-         a.energy_mean_uj == b.energy_mean_uj &&          //
-         a.energy_stddev_uj == b.energy_stddev_uj &&      //
-         a.energy_ci_uj == b.energy_ci_uj &&              //
-         a.variant_trials == b.variant_trials;
-}
-
-FailureSimResult simulate_with_failures(
-    const app::TaskGraph& graph, const platform::Architecture& architecture,
-    const std::vector<SimVariant>& variants,
-    const std::vector<std::vector<char>>& variant_failures,
-    const FailureSimOptions& options) {
-  const std::size_t n = graph.num_tasks();
-  const std::size_t num_pes = architecture.num_pes();
-  if (variants.empty()) {
-    throw std::invalid_argument("simulate_with_failures: no variants");
-  }
-  if (variant_failures.size() != variants.size()) {
-    throw std::invalid_argument(
-        "simulate_with_failures: variant/failure-mask count mismatch");
-  }
-  if (options.trials == 0) {
-    throw std::invalid_argument(
-        "simulate_with_failures: trials must be positive");
-  }
-  if (options.pe_failure_prob.size() != num_pes) {
-    throw std::invalid_argument(
-        "simulate_with_failures: PE failure probability count mismatch");
-  }
-  for (double q : options.pe_failure_prob) {
-    if (!(q >= 0.0 && q <= 1.0)) {
-      throw std::invalid_argument(
-          "simulate_with_failures: PE failure probability outside [0, 1]");
-    }
-  }
-
-  // Per-variant validation + precompute (rank vector, samplers), mirroring
-  // simulate_schedule; plus the mask table the trial loop dispatches on.
-  std::map<std::vector<char>, std::size_t> variant_of_mask;
-  std::vector<std::vector<std::size_t>> ranks(variants.size());
-  std::vector<std::vector<TaskSampler>> samplers(variants.size());
-  for (std::size_t v = 0; v < variants.size(); ++v) {
-    const SimVariant& variant = variants[v];
-    const std::vector<char>& mask = variant_failures[v];
-    if (mask.size() != num_pes) {
-      throw std::invalid_argument(
-          "simulate_with_failures: failure mask size mismatch");
-    }
-    if (v == 0 &&
-        std::any_of(mask.begin(), mask.end(), [](char f) { return f != 0; })) {
-      throw std::invalid_argument(
-          "simulate_with_failures: variant 0 must carry the no-failure mask");
-    }
-    if (!variant_of_mask.emplace(mask, v).second) {
-      throw std::invalid_argument(
-          "simulate_with_failures: duplicate failure mask");
-    }
-    if (variant.tasks.size() != n) {
-      throw std::invalid_argument(
-          "simulate_with_failures: variant task count mismatch");
-    }
-    if (variant.priority_order.size() != n) {
-      throw std::invalid_argument(
-          "simulate_with_failures: variant priority order size mismatch");
-    }
-    ranks[v].assign(n, n);
-    for (std::size_t pos = 0; pos < n; ++pos) {
-      const std::size_t task = variant.priority_order[pos];
-      if (task >= n || ranks[v][task] != n) {
-        throw std::invalid_argument(
-            "simulate_with_failures: variant priority order is not a "
-            "permutation of task ids");
-      }
-      ranks[v][task] = pos;
-    }
-    samplers[v].reserve(n);
-    for (const SimTask& task : variant.tasks) {
-      if (task.pe >= num_pes) {
-        throw std::invalid_argument(
-            "simulate_with_failures: PE index out of range");
-      }
-      if (mask[task.pe]) {
-        throw std::invalid_argument(
-            "simulate_with_failures: variant maps a task onto a PE its own "
-            "failure mask kills");
-      }
-      samplers[v].emplace_back(task.chain);  // validates the chain parameters
-    }
-  }
-  {
-    // Kahn pass (once — the graph is shared by every variant).
-    std::vector<std::size_t> pending(n);
-    std::vector<std::size_t> frontier;
-    for (std::size_t t = 0; t < n; ++t) {
-      pending[t] = graph.predecessors(t).size();
-      if (pending[t] == 0) frontier.push_back(t);
-    }
-    std::size_t visited = 0;
-    while (!frontier.empty()) {
-      const std::size_t t = frontier.back();
-      frontier.pop_back();
-      ++visited;
-      for (std::size_t succ : graph.successors(t)) {
-        if (--pending[succ] == 0) frontier.push_back(succ);
-      }
-    }
-    if (visited != n) {
-      throw std::invalid_argument(
-          "simulate_with_failures: task graph contains a cycle");
-    }
-  }
-
-  const std::vector<double> zeta = graph.normalized_criticality();
-  const platform::Interconnect& interconnect = architecture.interconnect();
-
-  // One child stream per trial, split off serially (the simulate_schedule
-  // contract). Inside each stream the draw order is fixed: first one uniform
-  // per PE in PE-id order (the mission survival draws), then — only if the
-  // drawn failure set is covered — the executed variant's task trials.
-  util::Rng root(options.seed);
-  std::vector<util::Rng> streams;
-  streams.reserve(options.trials);
-  for (std::size_t i = 0; i < options.trials; ++i) {
-    streams.push_back(root.split());
-  }
-
-  std::vector<FailureTrialOutcome> outcomes(options.trials);
-  const auto t0 = std::chrono::steady_clock::now();
-  {
-    const util::TraceSpan span("sim.failure_trial_batch");
-    util::parallel_for(options.trials, [&](std::size_t i) {
-      util::Rng& rng = streams[i];
-      std::vector<char> mask(num_pes, 0);
-      for (std::size_t p = 0; p < num_pes; ++p) {
-        mask[p] = rng.uniform() < options.pe_failure_prob[p] ? 1 : 0;
-      }
-      const auto it = variant_of_mask.find(mask);
-      if (it == variant_of_mask.end()) return;  // unavailable: nothing runs
-      const std::size_t v = it->second;
-      outcomes[i].available = true;
-      outcomes[i].variant = v;
-      outcomes[i].out =
-          run_trial(graph, interconnect, variants[v].tasks, samplers[v],
-                    ranks[v], zeta, num_pes, /*deadline_us=*/0.0, rng);
-    });
-  }
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-
-  {
-    static util::Counter& runs_metric =
-        util::metric_counter("sim.failure_runs");
-    static util::Counter& trials_metric =
-        util::metric_counter("sim.failure_trials");
-    static util::Counter& lost_metric =
-        util::metric_counter("sim.unavailable_trials");
-    runs_metric.add();
-    trials_metric.add(options.trials);
-    std::uint64_t lost = 0;
-    for (const FailureTrialOutcome& o : outcomes) lost += !o.available;
-    lost_metric.add(lost);
-    util::observe_seconds("sim.failure_batch_seconds", elapsed_s);
-  }
-
-  // Serial aggregation in trial order — identical whatever the thread count.
-  FailureSimResult result;
-  result.trials = options.trials;
-  result.variant_trials.assign(variants.size(), 0);
-  for (const FailureTrialOutcome& o : outcomes) {
-    if (!o.available) continue;
-    ++result.available_trials;
-    ++result.variant_trials[o.variant];
-  }
-  result.availability = static_cast<double>(result.available_trials) /
-                        static_cast<double>(options.trials);
-  result.availability_ci = util::wilson_interval_95(
-      static_cast<double>(result.available_trials), options.trials);
-
-  if (result.available_trials > 0) {
-    const double inv_a = 1.0 / static_cast<double>(result.available_trials);
-    double error_weight = 0.0;
-    for (const FailureTrialOutcome& o : outcomes) {
-      if (!o.available) continue;
-      result.makespan_mean_us += o.out.makespan_us * inv_a;
-      result.energy_mean_uj += o.out.energy_uj * inv_a;
-      error_weight += o.out.error_weight;
-    }
-    if (result.available_trials > 1) {
-      double makespan_m2 = 0.0;
-      double energy_m2 = 0.0;
-      for (const FailureTrialOutcome& o : outcomes) {
-        if (!o.available) continue;
-        const double dm = o.out.makespan_us - result.makespan_mean_us;
-        const double de = o.out.energy_uj - result.energy_mean_uj;
-        makespan_m2 += dm * dm;
-        energy_m2 += de * de;
-      }
-      const double inv_a1 =
-          1.0 / static_cast<double>(result.available_trials - 1);
-      result.makespan_stddev_us = std::sqrt(makespan_m2 * inv_a1);
-      result.energy_stddev_uj = std::sqrt(energy_m2 * inv_a1);
-    }
-    result.makespan_ci_us =
-        util::confidence_interval_95(result.makespan_mean_us,
-                                     result.makespan_stddev_us,
-                                     result.available_trials);
-    result.energy_ci_uj = util::confidence_interval_95(
-        result.energy_mean_uj, result.energy_stddev_uj,
-        result.available_trials);
-    // Same ulp clamp as simulate_schedule: zeta-normalized weights sum to at
-    // most the trial count mathematically, but not always in floating point.
-    error_weight = std::min(
-        error_weight, static_cast<double>(result.available_trials));
-    result.error_prob = error_weight * inv_a;
-    result.error_ci =
-        util::wilson_interval_95(error_weight, result.available_trials);
-  }
-  result.trials_per_sec =
-      elapsed_s > 0.0 ? static_cast<double>(options.trials) / elapsed_s : 0.0;
   return result;
 }
 

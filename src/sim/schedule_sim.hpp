@@ -12,6 +12,8 @@
 // makespan, criticality-weighted error, energy and deadline outcome.
 // Agreement between SimResult and QosMetrics validates every approximation
 // the analytic path stacks on top of the chains (see docs/SIMULATION.md).
+// The same driver injects permanent PE losses for k-resilient designs
+// (docs/RESILIENCE.md).
 //
 // Determinism: trial i consumes the i-th child stream split off the seed's
 // root RNG, trials write per-index slots under util::parallel_for, and all
@@ -39,18 +41,41 @@ struct SimTask {
   double power_w = 0.0;
 };
 
+/// One executable configuration of the application: the nominal mapping or
+/// a degraded-mode fallback (a repaired mapping for the PE-failure set it
+/// names in `failed`).
+struct SimVariant {
+  std::vector<SimTask> tasks;
+  std::vector<std::size_t> priority_order;
+  /// PEs this variant runs without: one entry per PE (non-zero = lost), or
+  /// empty for the healthy platform.
+  std::vector<char> failed;
+};
+
 struct SimOptions {
   std::size_t trials = 10000;
   std::uint64_t seed = 1;
   /// Deadline for per-trial miss accounting; <= 0 disables it.
   double deadline_us = 0.0;
+  /// Mission loss probability per PE (size = PE count) — the
+  /// core::pe_failure_probabilities() Weibull CDF values. Empty = a nominal
+  /// run: one variant, no permanent PE losses.
+  std::vector<double> pe_failure_prob;
 };
 
 /// Monte Carlo estimates with 95% confidence intervals. Every field except
 /// trials_per_sec is a pure function of (inputs, seed, trials) — see
-/// sim_results_identical().
+/// sim_results_identical(). Makespan, error, energy, fault and deadline
+/// statistics are conditional on availability: they aggregate only the
+/// trials that ran a variant (every trial of a nominal run).
 struct SimResult {
   std::size_t trials = 0;
+  std::size_t available_trials = 0;
+
+  /// Fraction of trials whose drawn PE-failure set some variant covers
+  /// (1 for a nominal run).
+  double availability = 0.0;
+  util::Interval availability_ci;  ///< Wilson 95%
 
   double makespan_mean_us = 0.0;
   double makespan_stddev_us = 0.0;
@@ -76,6 +101,10 @@ struct SimResult {
   double mean_faults = 0.0;     ///< raw fault events per trial
   double mean_rollbacks = 0.0;  ///< successful tolerance actions per trial
 
+  /// Trials executed per variant, aligned with the `variants` argument.
+  /// Sums to available_trials.
+  std::vector<std::size_t> variant_trials;
+
   /// Wall-clock throughput of the trial loop. NOT deterministic; excluded
   /// from sim_results_identical().
   double trials_per_sec = 0.0;
@@ -96,87 +125,24 @@ bool sim_results_identical(const SimResult& a, const SimResult& b) noexcept;
 /// counts active execution only (sampled time x power), matching the
 /// analytic Eq. 4 definition.
 ///
-/// Throws std::invalid_argument on malformed inputs (size mismatches,
-/// non-permutation priority order, PE indices out of range, zero trials, a
-/// cyclic graph) and like ClrChainParams::validate() on bad chain inputs.
-SimResult simulate_schedule(const app::TaskGraph& graph,
-                            const platform::Architecture& architecture,
-                            const std::vector<SimTask>& tasks,
-                            const std::vector<std::size_t>& priority_order,
-                            const SimOptions& options);
-
-// ------------------------------------------- permanent-fault injection
-
-/// One executable configuration of the application: the nominal mapping or
-/// a degraded-mode fallback (a repaired mapping for one failed-PE subset).
-struct SimVariant {
-  std::vector<SimTask> tasks;
-  std::vector<std::size_t> priority_order;
-};
-
-struct FailureSimOptions {
-  std::size_t trials = 10000;
-  std::uint64_t seed = 1;
-  /// Mission loss probability per PE (size must equal the PE count) — the
-  /// core::pe_failure_probabilities() Weibull CDF values.
-  std::vector<double> pe_failure_prob;
-};
-
-/// Monte Carlo estimates of a k-resilient design under permanent PE loss.
-/// Makespan/error/energy statistics are conditional on availability (the
-/// trial drew no failure, or a failure set some fallback variant covers).
-struct FailureSimResult {
-  std::size_t trials = 0;
-  std::size_t available_trials = 0;
-
-  double availability = 0.0;
-  util::Interval availability_ci;  ///< Wilson 95%
-
-  double makespan_mean_us = 0.0;
-  double makespan_stddev_us = 0.0;
-  util::Interval makespan_ci_us;  ///< normal-approximation CI of the mean
-
-  /// Criticality-weighted error probability, conditional on availability
-  /// (same estimator as SimResult::error_prob over the available trials).
-  double error_prob = 0.0;
-  util::Interval error_ci;  ///< Wilson 95% on the weighted successes
-
-  double energy_mean_uj = 0.0;
-  double energy_stddev_uj = 0.0;
-  util::Interval energy_ci_uj;
-
-  /// Trials executed per variant (index 0 = nominal), aligned with the
-  /// `variants` argument. Sums to available_trials.
-  std::vector<std::size_t> variant_trials;
-
-  /// Wall-clock throughput; NOT deterministic, excluded from
-  /// failure_sim_results_identical().
-  double trials_per_sec = 0.0;
-};
-
-/// Bitwise equality of every statistical field (the thread-count
-/// determinism contract; trials_per_sec excluded).
-bool failure_sim_results_identical(const FailureSimResult& a,
-                                   const FailureSimResult& b) noexcept;
-
-/// Simulate `options.trials` missions with permanent PE failures injected.
+/// Nominal run (`pe_failure_prob` empty): exactly one variant, executed by
+/// every trial. Failure run: each trial first draws every PE's survival (one
+/// uniform per PE, in PE-id order — a fixed draw prefix per trial stream),
+/// then executes the variant whose `failed` mask equals the drawn set;
+/// variants[0] is the healthy platform. A drawn set no variant covers (more
+/// than k losses, or an unrepairable subset) counts the trial unavailable
+/// and runs nothing.
 ///
-/// Each trial first draws every PE's survival (one uniform per PE, in PE-id
-/// order — a fixed draw prefix per trial stream, so results stay
-/// bit-identical at any thread count), then executes the variant covering
-/// the drawn failure set: variants[i] handles the failure mask
-/// variant_failures[i], variants[0] the no-failure mask. A drawn set no
-/// variant covers (more than k losses, or an unrepairable subset) counts
-/// the trial unavailable and runs nothing.
-///
-/// Throws std::invalid_argument on malformed inputs: size mismatches, a
-/// non-zero variant_failures[0], duplicate masks, probabilities outside
-/// [0, 1], or a variant that maps a task onto a PE its own failure mask
-/// kills.
-FailureSimResult simulate_with_failures(
-    const app::TaskGraph& graph, const platform::Architecture& architecture,
-    const std::vector<SimVariant>& variants,
-    const std::vector<std::vector<char>>& variant_failures,
-    const FailureSimOptions& options);
+/// Throws std::invalid_argument on malformed inputs: count and size
+/// mismatches, a non-permutation priority order, PE indices out of range,
+/// zero trials, a cyclic graph, probabilities outside [0, 1], a mask of the
+/// wrong size, a non-zero mask on variant 0, duplicate masks, a variant that
+/// maps a task onto a PE its own mask kills, or several variants without
+/// `pe_failure_prob`; and like ClrChainParams::validate() on bad chain
+/// inputs.
+SimResult simulate(const app::TaskGraph& graph,
+                   const platform::Architecture& architecture,
+                   const std::vector<SimVariant>& variants,
+                   const SimOptions& options);
 
 }  // namespace clrearly::sim

@@ -117,8 +117,10 @@ double ArgParser::get_number(const std::string& name) const {
 
 std::uint64_t ArgParser::get_uint(const std::string& name) const {
   const double value = get_number(name);
-  if (value < 0.0 || value != static_cast<double>(
-                                  static_cast<std::uint64_t>(value))) {
+  // Range-check before the cast: converting NaN, Inf or anything >= 2^64 to
+  // uint64_t is undefined behaviour.
+  if (!(value >= 0.0 && value < 0x1p64) ||
+      value != static_cast<double>(static_cast<std::uint64_t>(value))) {
     throw std::invalid_argument("option --" + name +
                                 " must be a non-negative integer");
   }

@@ -115,13 +115,13 @@ TEST_F(DeterminismTest, FailureInjectionIsThreadCountInvariant) {
   const core::ResilientProblem problem = dse.build_resilient_problem(o);
   const core::MappingGenome& genome = outcome.front_genomes.front();
 
-  const sim::FailureSimResult serial =
+  const sim::SimResult serial =
       core::simulate_resilient_design_point(problem, genome, 4000, 7);
   util::set_thread_count(4);
-  const sim::FailureSimResult parallel =
+  const sim::SimResult parallel =
       core::simulate_resilient_design_point(problem, genome, 4000, 7);
 
-  EXPECT_TRUE(sim::failure_sim_results_identical(serial, parallel));
+  EXPECT_TRUE(sim::sim_results_identical(serial, parallel));
   EXPECT_GT(serial.available_trials, 0u);
 }
 

@@ -493,6 +493,61 @@ TEST(ServiceTest, SseSinkStreamsProgressAndFinalState) {
   EXPECT_TRUE(frames.empty());
 }
 
+TEST(ServiceTest, EventCursorsAreParsedStrictly) {
+  ServiceOptions options;
+  options.workers = 1;
+  DseService service(options);
+  const std::string id =
+      run_to_completion(service, small_job_body("fcclr", 1, /*generations=*/4));
+  const std::string path = "/v1/jobs/" + id + "/events";
+  const auto sink = [](const std::string&) { return true; };
+
+  // A sign, whitespace, trailing bytes, an empty value or overflow is a
+  // 400 on both the JSON and the SSE route — never a wrapped or truncated
+  // cursor.
+  for (const char* bad : {"-1", "+3", " 7", "7 ", "5abc", "", "0x2",
+                          "18446744073709551616"}) {
+    SCOPED_TRACE(::testing::Message() << "from='" << bad << "'");
+    const std::string query = std::string("from=") + bad;
+    EXPECT_EQ(service.handle(make_request("GET", path, "", query)).status,
+              400);
+    HttpRequest sse = make_request("GET", path, "", query);
+    sse.headers["accept"] = "text/event-stream";
+    const auto response = service.stream_events_sse(sse, sink);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, 400);
+  }
+  // Last-Event-Id resumes at id + 1, so the largest id is rejected too
+  // instead of wrapping to 0 and replaying the whole stream.
+  for (const char* bad : {"-1", "+2", " 2", "2abc", "", "18446744073709551615",
+                          "18446744073709551616"}) {
+    SCOPED_TRACE(::testing::Message() << "Last-Event-Id '" << bad << "'");
+    HttpRequest sse = make_request("GET", path);
+    sse.headers["accept"] = "text/event-stream";
+    sse.headers["last-event-id"] = bad;
+    const auto response = service.stream_events_sse(sse, sink);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, 400);
+  }
+
+  // Well-formed cursors still resume where they say.
+  const HttpResponse tail =
+      service.handle(make_request("GET", path, "", "from=3"));
+  ASSERT_EQ(tail.status, 200);
+  EXPECT_EQ(body_json(tail).at("events").as_array().size(), 2u);
+  std::vector<std::string> frames;
+  const auto collect = [&frames](const std::string& frame) {
+    frames.push_back(frame);
+    return true;
+  };
+  HttpRequest resume = make_request("GET", path);
+  resume.headers["accept"] = "text/event-stream";
+  resume.headers["last-event-id"] = "2";
+  EXPECT_EQ(service.stream_events_sse(resume, collect), std::nullopt);
+  ASSERT_EQ(frames.size(), 3u);  // events 3, 4 + state
+  EXPECT_NE(frames[0].find("id: 3"), std::string::npos) << frames[0];
+}
+
 TEST(ServiceTest, ErrorPaths) {
   ServiceOptions options;
   options.workers = 1;

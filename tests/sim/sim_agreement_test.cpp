@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstddef>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "app/sobel.hpp"
@@ -113,9 +114,8 @@ class SimAgreementTest : public ::testing::Test {
     options.trials = 20000;
     options.seed = 5;
     options.deadline_us = analytic_->makespan_us;
-    simulated_ = simulate_schedule(scenario_->application.graph,
-                                   scenario_->arch, scenario_->tasks,
-                                   scenario_->order, options);
+    simulated_ = simulate(scenario_->application.graph, scenario_->arch,
+                          {{scenario_->tasks, scenario_->order, {}}}, options);
   }
   static void TearDownTestSuite() {
     delete scenario_;
@@ -222,19 +222,12 @@ class PermanentFaultAgreementTest : public ::testing::Test {
     pe0_down_ = new Scenario(make_degraded_scenario(1));
     pe1_down_ = new Scenario(make_degraded_scenario(0));
 
-    const std::vector<SimVariant> variants = {
-        {nominal_->tasks, nominal_->order},
-        {pe0_down_->tasks, pe0_down_->order},
-        {pe1_down_->tasks, pe1_down_->order}};
-    const std::vector<std::vector<char>> failures = {{0, 0}, {1, 0}, {0, 1}};
-
-    FailureSimOptions options;
+    SimOptions options;
     options.trials = 20000;
     options.seed = 5;
     options.pe_failure_prob = {kQ0, kQ1};
-    result_.emplace(simulate_with_failures(nominal_->application.graph,
-                                           nominal_->arch, variants, failures,
-                                           options));
+    result_.emplace(simulate(nominal_->application.graph, nominal_->arch,
+                             all_variants(), options));
 
     // The exact conditional mixture the estimates must cover.
     const double weights[3] = {(1.0 - kQ0) * (1.0 - kQ1), kQ0 * (1.0 - kQ1),
@@ -262,10 +255,17 @@ class PermanentFaultAgreementTest : public ::testing::Test {
     result_.reset();
   }
 
+  /// Nominal mapping plus one fallback per single-PE loss.
+  static std::vector<SimVariant> all_variants() {
+    return {{nominal_->tasks, nominal_->order, {0, 0}},
+            {pe0_down_->tasks, pe0_down_->order, {1, 0}},
+            {pe1_down_->tasks, pe1_down_->order, {0, 1}}};
+  }
+
   static Scenario* nominal_;
   static Scenario* pe0_down_;
   static Scenario* pe1_down_;
-  static std::optional<FailureSimResult> result_;
+  static std::optional<SimResult> result_;
   static double availability_;
   static double expected_makespan_us_;
   static double expected_error_;
@@ -275,7 +275,7 @@ class PermanentFaultAgreementTest : public ::testing::Test {
 Scenario* PermanentFaultAgreementTest::nominal_ = nullptr;
 Scenario* PermanentFaultAgreementTest::pe0_down_ = nullptr;
 Scenario* PermanentFaultAgreementTest::pe1_down_ = nullptr;
-std::optional<FailureSimResult> PermanentFaultAgreementTest::result_;
+std::optional<SimResult> PermanentFaultAgreementTest::result_;
 double PermanentFaultAgreementTest::availability_ = 0.0;
 double PermanentFaultAgreementTest::expected_makespan_us_ = 0.0;
 double PermanentFaultAgreementTest::expected_error_ = 0.0;
@@ -321,81 +321,81 @@ TEST_F(PermanentFaultAgreementTest, VariantTrialCountsAreConsistent) {
 TEST_F(PermanentFaultAgreementTest, UncoveredFailureSetsCountAsUnavailable) {
   // Drop the PE0-failure fallback: only {} and {PE1} remain covered, so
   // availability falls to (1-q0) = 0.7 exactly.
-  const std::vector<SimVariant> variants = {{nominal_->tasks, nominal_->order},
-                                            {pe1_down_->tasks,
-                                             pe1_down_->order}};
-  const std::vector<std::vector<char>> failures = {{0, 0}, {0, 1}};
-  FailureSimOptions options;
+  const std::vector<SimVariant> variants = {
+      {nominal_->tasks, nominal_->order, {0, 0}},
+      {pe1_down_->tasks, pe1_down_->order, {0, 1}}};
+  SimOptions options;
   options.trials = 20000;
   options.seed = 5;
   options.pe_failure_prob = {kQ0, kQ1};
-  const FailureSimResult partial = simulate_with_failures(
-      nominal_->application.graph, nominal_->arch, variants, failures,
-      options);
+  const SimResult partial = simulate(nominal_->application.graph,
+                                     nominal_->arch, variants, options);
   EXPECT_TRUE(partial.availability_ci.contains(1.0 - kQ0));
   EXPECT_LT(partial.availability, result_->availability);
 }
 
 TEST_F(PermanentFaultAgreementTest, InjectionIsBitIdenticalAcrossThreadCounts) {
-  const std::vector<SimVariant> variants = {
-      {nominal_->tasks, nominal_->order},
-      {pe0_down_->tasks, pe0_down_->order},
-      {pe1_down_->tasks, pe1_down_->order}};
-  const std::vector<std::vector<char>> failures = {{0, 0}, {1, 0}, {0, 1}};
-  FailureSimOptions options;
+  SimOptions options;
   options.trials = 5000;
   options.seed = 17;
   options.pe_failure_prob = {kQ0, kQ1};
 
   util::set_thread_count(1);
-  const FailureSimResult serial = simulate_with_failures(
-      nominal_->application.graph, nominal_->arch, variants, failures,
-      options);
+  const SimResult serial = simulate(nominal_->application.graph,
+                                    nominal_->arch, all_variants(), options);
   util::set_thread_count(4);
-  const FailureSimResult parallel = simulate_with_failures(
-      nominal_->application.graph, nominal_->arch, variants, failures,
-      options);
+  const SimResult parallel = simulate(nominal_->application.graph,
+                                      nominal_->arch, all_variants(), options);
   util::set_thread_count(0);
 
-  EXPECT_TRUE(failure_sim_results_identical(serial, parallel));
+  EXPECT_TRUE(sim_results_identical(serial, parallel));
 }
 
 TEST_F(PermanentFaultAgreementTest, RejectsMalformedInjectionInputs) {
-  const std::vector<SimVariant> variants = {{nominal_->tasks, nominal_->order}};
-  FailureSimOptions options;
+  const app::TaskGraph& graph = nominal_->application.graph;
+  const platform::Architecture& arch = nominal_->arch;
+  const auto variant = [](const Scenario* s, std::vector<char> failed) {
+    return SimVariant{s->tasks, s->order, std::move(failed)};
+  };
+  SimOptions options;
   options.trials = 100;
   options.pe_failure_prob = {kQ0, kQ1};
 
   // Variant 0 must carry the all-healthy mask.
-  EXPECT_THROW(simulate_with_failures(nominal_->application.graph,
-                                      nominal_->arch, variants, {{1, 0}},
-                                      options),
+  EXPECT_THROW(simulate(graph, arch, {variant(nominal_, {1, 0})}, options),
                std::invalid_argument);
   // Mask size must match the PE count.
-  EXPECT_THROW(simulate_with_failures(nominal_->application.graph,
-                                      nominal_->arch, variants, {{0, 0, 0}},
-                                      options),
+  EXPECT_THROW(simulate(graph, arch, {variant(nominal_, {0, 0, 0})}, options),
                std::invalid_argument);
-  // Duplicate masks.
-  const std::vector<SimVariant> dup = {{nominal_->tasks, nominal_->order},
-                                       {nominal_->tasks, nominal_->order}};
-  EXPECT_THROW(simulate_with_failures(nominal_->application.graph,
-                                      nominal_->arch, dup, {{0, 0}, {0, 0}},
-                                      options),
+  // Duplicate masks (an empty mask is the healthy one).
+  EXPECT_THROW(simulate(graph, arch,
+                        {variant(nominal_, {0, 0}), variant(nominal_, {0, 0})},
+                        options),
+               std::invalid_argument);
+  EXPECT_THROW(simulate(graph, arch,
+                        {variant(nominal_, {}), variant(nominal_, {0, 0})},
+                        options),
                std::invalid_argument);
   // A variant must not run tasks on a PE its own mask kills.
-  const std::vector<SimVariant> bad = {{nominal_->tasks, nominal_->order},
-                                       {nominal_->tasks, nominal_->order}};
-  EXPECT_THROW(simulate_with_failures(nominal_->application.graph,
-                                      nominal_->arch, bad, {{0, 0}, {0, 1}},
-                                      options),
+  EXPECT_THROW(simulate(graph, arch,
+                        {variant(nominal_, {0, 0}), variant(nominal_, {0, 1})},
+                        options),
                std::invalid_argument);
-  // Probabilities outside [0, 1].
+  // Probabilities outside [0, 1], and one per PE.
   options.pe_failure_prob = {1.5, 0.0};
-  EXPECT_THROW(simulate_with_failures(nominal_->application.graph,
-                                      nominal_->arch, variants, {{0, 0}},
-                                      options),
+  EXPECT_THROW(simulate(graph, arch, {variant(nominal_, {0, 0})}, options),
                std::invalid_argument);
+  options.pe_failure_prob = {kQ0};
+  EXPECT_THROW(simulate(graph, arch, {variant(nominal_, {0, 0})}, options),
+               std::invalid_argument);
+  // Fallback variants only mean something in a failure run.
+  options.pe_failure_prob.clear();
+  EXPECT_THROW(simulate(graph, arch,
+                        {variant(nominal_, {0, 0}), variant(pe0_down_, {1, 0})},
+                        options),
+               std::invalid_argument);
+  // No variant at all.
+  EXPECT_THROW(simulate(graph, arch, {}, options), std::invalid_argument);
 }
 
 // The end-to-end acceptance criterion of the resilience axis: run the
@@ -424,7 +424,7 @@ TEST(KResilientOracleTest, FrontAgreesWithAnalyticPredictionAtTenThousandTrials)
     const core::MappingGenome& genome = outcome.front_genomes[i];
     const core::ResilientProblem::AnalyticPrediction pred =
         problem.analytic_prediction(genome);
-    const FailureSimResult injected =
+    const SimResult injected =
         core::simulate_resilient_design_point(problem, genome, 10000, 23);
     SCOPED_TRACE(::testing::Message() << "front point " << i);
 

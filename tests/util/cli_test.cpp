@@ -65,6 +65,17 @@ TEST(ArgParserTest, Errors) {
   EXPECT_THROW(p.get_uint("seed"), std::invalid_argument);
   p.parse({"--seed", "-3"});
   EXPECT_THROW(p.get_uint("seed"), std::invalid_argument);
+  // Non-finite and out-of-range values are rejected before the integer cast
+  // (casting them is undefined behaviour); 2^64 - 2048 is the largest double
+  // below 2^64 and still converts exactly.
+  for (const char* bad : {"nan", "inf", "-inf", "1e30",
+                          "18446744073709551616"}) {
+    p.parse({"--seed", bad});
+    EXPECT_THROW(p.get_uint("seed"), std::invalid_argument)
+        << "value '" << bad << "' must be rejected";
+  }
+  p.parse({"--seed", "18446744073709549568"});
+  EXPECT_EQ(p.get_uint("seed"), 18446744073709549568ull);
   EXPECT_THROW(p.get("nonexistent"), std::invalid_argument);
 }
 
