@@ -1,9 +1,12 @@
 #include "io/serialize.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "app/characterizer.hpp"
 #include "app/mjpeg.hpp"
@@ -35,6 +38,22 @@ std::string read_file(const std::string& path) {
   return oss.str();
 }
 
+/// One decimal number of a synthetic:<tasks>[:<seed>] spec. from_chars
+/// takes no sign, whitespace or locale; trailing bytes and overflow are
+/// rejected here.
+std::uint64_t parse_spec_number(std::string_view text,
+                                const std::string& spec) {
+  std::uint64_t value = 0;
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  if (text.empty() || ec != std::errc{} || ptr != last) {
+    throw std::runtime_error(
+        "serialize: malformed application spec '" + spec +
+        "' (expected synthetic:<tasks>[:<seed>] in plain decimal)");
+  }
+  return value;
+}
+
 void write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("serialize: cannot write " + path);
@@ -43,6 +62,19 @@ void write_file(const std::string& path, const std::string& content) {
 }
 
 }  // namespace
+
+std::uint64_t as_uint64(const JsonValue& value, const char* what) {
+  const double number = value.as_number();
+  // 2^64 is exact as a double and every double in [0, 2^64) converts
+  // exactly, so these checks make the cast below well-defined (NaN fails
+  // the range test).
+  constexpr double kTwoTo64 = 18446744073709551616.0;
+  if (!(number >= 0.0 && number < kTwoTo64) || number != std::floor(number)) {
+    throw std::runtime_error(std::string("serialize: ") + what +
+                             " must be a non-negative integer below 2^64");
+  }
+  return static_cast<std::uint64_t>(number);
+}
 
 // ------------------------------------------------------------ architecture
 
@@ -103,7 +135,7 @@ platform::Architecture architecture_from_json(const JsonValue& json) {
     arch.add_type(std::move(type));
   }
   for (const JsonValue& pe : json.at("pes").as_array()) {
-    arch.add_pe(static_cast<std::size_t>(pe.as_number()));
+    arch.add_pe(static_cast<std::size_t>(as_uint64(pe, "pes[]")));
   }
   if (const JsonValue* icn = json.find("interconnect")) {
     platform::Interconnect interconnect;
@@ -157,13 +189,13 @@ app::Application application_from_json(const JsonValue& json) {
   application.period_us = json.at("period_us").as_number();
   for (const JsonValue& t : json.at("tasks").as_array()) {
     application.graph.add_task(
-        static_cast<std::size_t>(t.at("type").as_number()),
+        static_cast<std::size_t>(as_uint64(t.at("type"), "tasks[].type")),
         t.at("name").as_string(), t.number_or("criticality", 1.0));
   }
   for (const JsonValue& e : json.at("edges").as_array()) {
     application.graph.add_edge(
-        static_cast<std::size_t>(e.at("src").as_number()),
-        static_cast<std::size_t>(e.at("dst").as_number()),
+        static_cast<std::size_t>(as_uint64(e.at("src"), "edges[].src")),
+        static_cast<std::size_t>(as_uint64(e.at("dst"), "edges[].dst")),
         e.number_or("data_kb", 0.0));
   }
   for (const JsonValue& type_impls : json.at("impls").as_array()) {
@@ -211,12 +243,20 @@ app::Application resolve_application(const std::string& spec) {
   if (spec == "sobel") return app::make_sobel_application();
   if (spec == "mjpeg") return app::make_mjpeg_application();
   if (spec.rfind("synthetic:", 0) == 0) {
-    const std::string rest = spec.substr(10);
+    const std::string_view rest = std::string_view(spec).substr(10);
     const std::size_t colon = rest.find(':');
-    const std::size_t tasks = std::stoul(rest.substr(0, colon));
+    const std::uint64_t tasks = parse_spec_number(rest.substr(0, colon), spec);
     const std::uint64_t seed =
-        colon == std::string::npos ? 1 : std::stoull(rest.substr(colon + 1));
-    return app::make_synthetic_application(tasks, 10, seed);
+        colon == std::string_view::npos
+            ? 1
+            : parse_spec_number(rest.substr(colon + 1), spec);
+    if (tasks == 0 || tasks > kMaxSyntheticTasks) {
+      throw std::runtime_error("serialize: '" + spec +
+                               "': synthetic task count must be in [1, " +
+                               std::to_string(kMaxSyntheticTasks) + "]");
+    }
+    return app::make_synthetic_application(static_cast<std::size_t>(tasks),
+                                           10, seed);
   }
   return load_application(spec);
 }
@@ -229,16 +269,6 @@ platform::Architecture resolve_architecture(const std::string& spec) {
 // ------------------------------------------------------------- wire format
 
 namespace {
-
-std::uint64_t as_uint64(const JsonValue& value, const char* what) {
-  const double number = value.as_number();
-  if (number < 0.0 ||
-      number != static_cast<double>(static_cast<std::uint64_t>(number))) {
-    throw std::runtime_error(std::string("serialize: ") + what +
-                             " must be a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(number);
-}
 
 void set_optional(JsonObject& object, const char* key,
                   const std::optional<double>& value) {
@@ -318,22 +348,6 @@ core::Scenario scenario_from_json(const JsonValue& json) {
   return scenario;
 }
 
-JsonValue to_json(const core::ScenarioSet& scenarios) {
-  JsonArray list;
-  for (const core::Scenario& scenario : scenarios.scenarios()) {
-    list.push_back(to_json(scenario));
-  }
-  return JsonValue(std::move(list));
-}
-
-core::ScenarioSet scenario_set_from_json(const JsonValue& json) {
-  std::vector<core::Scenario> scenarios;
-  for (const JsonValue& entry : json.as_array()) {
-    scenarios.push_back(scenario_from_json(entry));
-  }
-  return core::ScenarioSet(std::move(scenarios));
-}
-
 JsonValue to_json(const moea::Nsga2Params& params) {
   return JsonValue(JsonObject{
       {"population_size", params.population_size},
@@ -341,8 +355,7 @@ JsonValue to_json(const moea::Nsga2Params& params) {
       {"crossover_prob", params.crossover_prob},
       {"mutation_prob", params.mutation_prob},
       {"mutation_indpb", params.mutation_indpb},
-      {"tournament_k", params.tournament_k},
-      {"archive_size", params.archive_size}});
+      {"tournament_k", params.tournament_k}});
 }
 
 moea::Nsga2Params nsga2_params_from_json(const JsonValue& json) {
@@ -369,9 +382,10 @@ moea::Nsga2Params nsga2_params_from_json(const JsonValue& json) {
     params.tournament_k = static_cast<std::size_t>(
         as_uint64(*v, "ga.tournament_k"));
   }
+  // Specs and journals written while NSGA-II had an external archive carry
+  // its capacity; they must still replay, so it is checked, then ignored.
   if (const JsonValue* v = json.find("archive_size")) {
-    params.archive_size = static_cast<std::size_t>(
-        as_uint64(*v, "ga.archive_size"));
+    as_uint64(*v, "ga.archive_size");
   }
   params.validate();
   return params;
@@ -564,12 +578,12 @@ JobSpec job_spec_from_json(const JsonValue& json) {
                        "application", "architecture"},
                       "job");
   JobSpec spec;
-  spec.format_version =
-      static_cast<int>(as_uint64(json.at("format_version"), "format_version"));
-  if (spec.format_version != kWireFormatVersion) {
+  const std::uint64_t version =
+      as_uint64(json.at("format_version"), "format_version");
+  if (version != kWireFormatVersion) {
     throw std::runtime_error(
         "serialize: unsupported job format_version " +
-        std::to_string(spec.format_version) + " (this build speaks v" +
+        std::to_string(version) + " (this build speaks v" +
         std::to_string(kWireFormatVersion) + ")");
   }
   if (const JsonValue* name = json.find("name")) {

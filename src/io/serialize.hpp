@@ -51,14 +51,28 @@ void save_application(const std::string& path,
                       const app::Application& application);
 app::Application load_application(const std::string& path);
 
+/// Most tasks a "synthetic:<tasks>" spec may ask for: about as many as an
+/// embedded model fits in the serve daemon's 16 MiB request body (synthetic
+/// models serialize to ~210 bytes per task), so a short spec string cannot
+/// make a request allocate gigabytes.
+inline constexpr std::size_t kMaxSyntheticTasks = 80000;
+
 /// Resolve the spec strings every clrearly front end accepts:
 ///   application: "sobel" | "mjpeg" | "synthetic:<tasks>[:<seed>]" | a path
 ///   architecture: "default" | a path
 /// (the CLI's --app/--arch values and the wire format's string shorthands).
+/// Synthetic numbers are plain decimal digits — no sign, whitespace or
+/// trailing bytes; tasks in [1, kMaxSyntheticTasks], seed < 2^64 — and
+/// anything else throws std::runtime_error.
 app::Application resolve_application(const std::string& spec);
 platform::Architecture resolve_architecture(const std::string& spec);
 
 // --------------------------------------------------------------- wire format
+
+/// Checked JSON number -> unsigned integer for wire, model and journal
+/// fields: negatives, fractions and values >= 2^64 are rejected before any
+/// cast, with a std::runtime_error naming `what`.
+std::uint64_t as_uint64(const util::JsonValue& value, const char* what);
 
 /// Version of the job wire format. from_json rejects documents whose
 /// format_version differs — a v2 reader must be written deliberately, never
@@ -68,10 +82,6 @@ inline constexpr int kWireFormatVersion = 1;
 /// Operating condition <-> JSON.
 util::JsonValue to_json(const core::Scenario& scenario);
 core::Scenario scenario_from_json(const util::JsonValue& json);
-
-/// Scenario set <-> JSON (weights serialized post-normalization).
-util::JsonValue to_json(const core::ScenarioSet& scenarios);
-core::ScenarioSet scenario_set_from_json(const util::JsonValue& json);
 
 /// NSGA-II parameters <-> JSON. The on_generation observer is runtime-only
 /// state and is never serialized.

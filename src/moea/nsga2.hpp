@@ -73,12 +73,6 @@ struct Nsga2Params {
   double mutation_indpb = 0.05;
   std::size_t tournament_k = 5;  ///< paper Section V-C
 
-  /// Capacity of the external non-dominated archive (0 disables it). When
-  /// enabled, every feasible non-dominated point encountered across the
-  /// whole run is retained (crowding-truncated to this capacity), so the
-  /// reported front cannot lose solutions the search once had.
-  std::size_t archive_size = 0;
-
   /// Optional per-generation progress observer (see GenerationProgress).
   /// Null by default; never serialized as part of any wire format.
   ProgressHook on_generation;
@@ -131,23 +125,11 @@ struct Nsga2Result {
   std::vector<std::size_t> front;  ///< indices of the first (feasible) front
   std::size_t evaluations = 0;     ///< total fitness evaluations performed
 
-  /// External archive (empty unless Nsga2Params::archive_size > 0): the
-  /// non-dominated feasible points accumulated over the entire run.
-  std::vector<EvaluatedGenome<Genome>> archive;
-
   /// Objective vectors of the final front.
   std::vector<Objectives> front_objectives() const {
     std::vector<Objectives> out;
     out.reserve(front.size());
     for (std::size_t i : front) out.push_back(population[i].eval.objectives);
-    return out;
-  }
-
-  /// Objective vectors of the archive.
-  std::vector<Objectives> archive_objectives() const {
-    std::vector<Objectives> out;
-    out.reserve(archive.size());
-    for (const auto& member : archive) out.push_back(member.eval.objectives);
     return out;
   }
 };
@@ -168,69 +150,6 @@ std::vector<std::size_t> survivor_selection(
     const std::vector<double>& violations, std::size_t target);
 
 namespace detail {
-
-/// Merge feasible `candidates` into the non-dominated `archive`, then
-/// crowding-truncate to `capacity`. Duplicate objective vectors are kept
-/// once.
-///
-/// The merge is batched: over the union (archive members first, then the
-/// feasible candidates, both in order) a single dominance pass keeps every
-/// point no other point dominates, retaining only the first of each group
-/// of equal objective vectors. This is exactly the fixed point the old
-/// per-candidate insert-scan-and-erase loop converged to (dominance is
-/// transitive, and the archive invariant — mutually non-dominated — holds
-/// on entry), without the per-candidate archive scan + erase_if churn.
-template <typename Genome>
-void update_archive(std::vector<EvaluatedGenome<Genome>>& archive,
-                    const std::vector<EvaluatedGenome<Genome>>& candidates,
-                    std::size_t capacity) {
-  std::vector<const EvaluatedGenome<Genome>*> pool;
-  pool.reserve(archive.size() + candidates.size());
-  for (const auto& member : archive) pool.push_back(&member);
-  for (const auto& candidate : candidates) {
-    if (candidate.eval.violation > 0.0) continue;
-    pool.push_back(&candidate);
-  }
-  std::vector<char> keep(pool.size(), 1);
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    const Objectives& mine = pool[i]->eval.objectives;
-    for (std::size_t j = 0; j < pool.size() && keep[i]; ++j) {
-      if (j == i) continue;
-      const Objectives& other = pool[j]->eval.objectives;
-      if (dominates(other, mine) || (j < i && other == mine)) keep[i] = 0;
-    }
-  }
-  std::vector<EvaluatedGenome<Genome>> merged;
-  merged.reserve(pool.size());
-  const std::size_t members = archive.size();
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (!keep[i]) continue;
-    if (i < members) {
-      merged.push_back(std::move(archive[i]));
-    } else {
-      merged.push_back(*pool[i]);
-    }
-  }
-  archive = std::move(merged);
-  if (archive.size() <= capacity) return;
-
-  std::vector<Objectives> points;
-  points.reserve(archive.size());
-  for (const auto& member : archive) points.push_back(member.eval.objectives);
-  std::vector<std::size_t> all(points.size());
-  for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-  const std::vector<double> crowd = crowding_distance(points, all);
-
-  std::vector<std::size_t> order = all;
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return crowd[a] > crowd[b]; });
-  std::vector<EvaluatedGenome<Genome>> kept;
-  kept.reserve(capacity);
-  for (std::size_t i = 0; i < capacity; ++i) {
-    kept.push_back(std::move(archive[order[i]]));
-  }
-  archive = std::move(kept);
-}
 
 /// Evaluate `genomes` concurrently (index-sharded over the global thread
 /// pool) and append them to `population` and the parallel `points` /
@@ -341,8 +260,8 @@ inline double front_bbox_volume(const std::vector<Objectives>& points,
 /// Every generation is two phases: a serial *variation* phase (selection,
 /// crossover, mutation — the only RNG consumers, drawn in the exact order
 /// the historical serial loop used) followed by a parallel *evaluation*
-/// phase over the whole offspring batch. Fronts, archives and evaluation
-/// counts are therefore bit-identical across thread counts.
+/// phase over the whole offspring batch. Fronts and evaluation counts are
+/// therefore bit-identical across thread counts.
 ///
 /// `seeds` pre-loads the initial population (truncated to the population
 /// size; the remainder is filled by ops.create) — this implements the
@@ -374,9 +293,6 @@ Nsga2Result<Genome> run_nsga2(const Nsga2Params& params,
   }
   detail::evaluate_append(ops, std::move(batch), population, points,
                           violations, result.evaluations);
-  if (params.archive_size > 0) {
-    detail::update_archive(result.archive, population, params.archive_size);
-  }
 
   // Registry lookups once per instantiation; the entries are shared by name.
   static util::Counter& generations_metric =
@@ -474,10 +390,6 @@ Nsga2Result<Genome> run_nsga2(const Nsga2Params& params,
     population.swap(next);
     points.swap(next_points);
     violations.swap(next_violations);
-
-    if (params.archive_size > 0) {
-      detail::update_archive(result.archive, population, params.archive_size);
-    }
   }
 
   const auto fronts = non_dominated_sort(points, violations);

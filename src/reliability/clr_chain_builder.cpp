@@ -352,8 +352,6 @@ std::vector<ClrChainAnalysis> analyze_clr_chain_batch(
   const util::TraceSpan span("chain.batch.analyze");
   static util::Counter& requests_metric =
       util::metric_counter("chain.batch.requests");
-  static util::Counter& cache_hits_metric =
-      util::metric_counter("chain.batch.cache_hits");
   static util::Counter& dedupe_metric =
       util::metric_counter("chain.batch.dedupe_hits");
   static util::Counter& batches_metric =
@@ -399,10 +397,7 @@ std::vector<ClrChainAnalysis> analyze_clr_chain_batch(
       pos = (pos + 1) & table_mask;
     }
     if (duplicate) continue;
-    if (cache != nullptr && cache->lookup(key, results[i])) {
-      cache_hits_metric.add();
-      continue;
-    }
+    if (cache != nullptr && cache->lookup(key, results[i])) continue;
     slot[i] = misses.size();
     dedupe_table[pos] = static_cast<std::uint32_t>(misses.size());
     misses.push_back(Miss{key, i, {}, ChainSolveStatus::kOk});

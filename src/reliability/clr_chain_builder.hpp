@@ -148,8 +148,8 @@ void assemble_clr_chain_batch(
 /// reports per-chain outcomes and singular entries get a value-initialized
 /// ClrChainAnalysis.
 ///
-/// Instrumented via util::metrics: chain.batch.requests / cache_hits /
-/// dedupe_hits / batches / lanes_filled / pad_lanes.
+/// Instrumented via util::metrics: chain.batch.requests / dedupe_hits /
+/// batches / lanes_filled / pad_lanes (cache hits: cache.chain_solve.hits).
 std::vector<ClrChainAnalysis> analyze_clr_chain_batch(
     std::span<const ClrChainParams> params, const ChainBatchOptions& options = {},
     std::vector<ChainSolveStatus>* status = nullptr);

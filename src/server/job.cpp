@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/scenario.hpp"
-#include "util/memo_cache.hpp"
 #include "util/metrics.hpp"
 
 namespace clrearly::server {
@@ -64,17 +63,16 @@ util::JsonValue to_json(const CacheDelta& delta) {
 }
 
 CacheDelta cache_counters_now() {
-  CacheDelta now;
-  for (const auto& [name, stats] : util::lifetime_cache_stats()) {
-    if (name == "fitness") {
-      now.fitness_hits = stats.hits;
-      now.fitness_misses = stats.misses;
-    } else if (name == "chain_solve") {
-      now.chain_hits = stats.hits;
-      now.chain_misses = stats.misses;
-    }
-  }
-  return now;
+  static const util::Counter& fitness_hits =
+      util::metric_counter("cache.fitness.hits");
+  static const util::Counter& fitness_misses =
+      util::metric_counter("cache.fitness.misses");
+  static const util::Counter& chain_hits =
+      util::metric_counter("cache.chain_solve.hits");
+  static const util::Counter& chain_misses =
+      util::metric_counter("cache.chain_solve.misses");
+  return CacheDelta{fitness_hits.value(), fitness_misses.value(),
+                    chain_hits.value(), chain_misses.value()};
 }
 
 // ------------------------------------------------------------------ record

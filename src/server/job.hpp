@@ -64,10 +64,11 @@ struct ProgressEvent {
 util::JsonValue to_json(const ProgressEvent& event);
 
 /// Hit/miss deltas of the two DSE memo caches over one job's execution,
-/// measured from lifetime_cache_stats(). Under concurrent jobs the deltas
-/// include the neighbours' traffic (the counters are process-wide); they are
-/// reported for observability, and the smoke tests that assert on them run
-/// jobs back-to-back where the attribution is exact.
+/// read from the cache.{fitness,chain_solve}.{hits,misses} metrics
+/// counters. Under concurrent jobs the deltas include the neighbours'
+/// traffic (the counters are process-wide); they are reported for
+/// observability, and the smoke tests that assert on them run jobs
+/// back-to-back where the attribution is exact.
 struct CacheDelta {
   std::uint64_t fitness_hits = 0;
   std::uint64_t fitness_misses = 0;

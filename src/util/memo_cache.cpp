@@ -1,31 +1,13 @@
 #include "util/memo_cache.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <optional>
 
 namespace clrearly::util {
 
 namespace {
-
-struct Registry {
-  std::mutex mutex;
-  std::uint64_t next_token = 1;
-  std::map<std::uint64_t, std::pair<std::string, std::function<CacheStats()>>>
-      caches;
-  // Final counters of destroyed named caches, summed per name — the
-  // lifetime_cache_stats() tail. Tokens remember their name so unregister
-  // can fold without re-threading it through the destructor.
-  std::map<std::string, CacheStats> retired;
-};
-
-Registry& registry() {
-  static Registry* instance = new Registry();  // never destroyed: caches with
-  return *instance;  // static storage duration may unregister during exit
-}
 
 struct CapacityState {
   std::mutex mutex;
@@ -57,58 +39,7 @@ std::size_t parse_cache_env(const char* text) noexcept {
   return value;
 }
 
-std::uint64_t register_cache(std::string name,
-                             std::function<CacheStats()> stats) {
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  const std::uint64_t token = reg.next_token++;
-  reg.caches.emplace(token,
-                     std::make_pair(std::move(name), std::move(stats)));
-  return token;
-}
-
-void unregister_cache(std::uint64_t token, CacheStats final_stats) {
-  // The storage dies with the cache; only the event counters outlive it.
-  final_stats.entries = 0;
-  final_stats.capacity = 0;
-  Registry& reg = registry();
-  std::lock_guard<std::mutex> lock(reg.mutex);
-  const auto it = reg.caches.find(token);
-  if (it == reg.caches.end()) return;
-  reg.retired[it->second.first] += final_stats;
-  reg.caches.erase(it);
-}
-
 }  // namespace detail
-
-namespace {
-
-std::vector<std::pair<std::string, CacheStats>> collect_cache_stats(
-    bool include_retired) {
-  // Snapshot the providers first: a stats() callback may take its cache's
-  // shard locks, which must not nest inside the registry lock.
-  std::vector<std::pair<std::string, std::function<CacheStats()>>> providers;
-  std::map<std::string, CacheStats> by_name;
-  {
-    Registry& reg = registry();
-    std::lock_guard<std::mutex> lock(reg.mutex);
-    providers.reserve(reg.caches.size());
-    for (const auto& [token, entry] : reg.caches) providers.push_back(entry);
-    if (include_retired) by_name = reg.retired;
-  }
-  for (const auto& [name, stats] : providers) by_name[name] += stats();
-  return {by_name.begin(), by_name.end()};
-}
-
-}  // namespace
-
-std::vector<std::pair<std::string, CacheStats>> aggregate_cache_stats() {
-  return collect_cache_stats(/*include_retired=*/false);
-}
-
-std::vector<std::pair<std::string, CacheStats>> lifetime_cache_stats() {
-  return collect_cache_stats(/*include_retired=*/true);
-}
 
 void set_cache_capacity(std::size_t capacity) {
   CapacityState& state = capacity_state();

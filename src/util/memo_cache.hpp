@@ -16,20 +16,23 @@
 // least-recently-used slot in the window (per-shard logical clock), which is
 // the "LRU-ish" policy: cheap, bounded, and recency-respecting within a
 // window without global list maintenance.  Hit/miss/evict counters are kept
-// per shard and aggregated on demand; named caches additionally register
-// with a process-wide registry so drivers can report every cache's counters
-// (aggregate_cache_stats) without threading handles around.
+// per shard and aggregated on demand (stats()); a named cache additionally
+// adds every hit, miss and eviction to the process-wide util::metrics
+// counters cache.<name>.{hits,misses,evictions}, which outlive the cache and
+// sum over every cache of that name — so drivers report lifetime totals
+// without holding, or ever calling into, any cache object.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "util/metrics.hpp"
 
 namespace clrearly::util {
 
@@ -149,16 +152,6 @@ namespace detail {
 /// "-1" to ULLONG_MAX.
 std::size_t parse_cache_env(const char* text) noexcept;
 
-/// Register a named cache's stats provider with the process-wide registry;
-/// returns a token for unregister_cache. Thread-safe.
-std::uint64_t register_cache(std::string name,
-                             std::function<CacheStats()> stats);
-
-/// Remove the cache from the live registry and fold `final_stats` (with
-/// entries/capacity zeroed — the storage is gone) into the retained
-/// per-name totals that lifetime_cache_stats() reports. Thread-safe.
-void unregister_cache(std::uint64_t token, CacheStats final_stats);
-
 inline std::size_t next_pow2(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
@@ -166,19 +159,6 @@ inline std::size_t next_pow2(std::size_t n) {
 }
 
 }  // namespace detail
-
-/// Counters of every live named cache, summed per name (several
-/// ClrMappingProblems each own a "fitness" cache; reporting wants the
-/// union). Sorted by name for stable output.
-std::vector<std::pair<std::string, CacheStats>> aggregate_cache_stats();
-
-/// Like aggregate_cache_stats(), plus the final counters of every named
-/// cache already destroyed (entries/capacity count live caches only).
-/// This is what the --metrics-out exit snapshot reports: the per-problem
-/// fitness caches die mid-run and process-wide caches can be torn down
-/// before the exit hook fires, yet their hit/miss totals still belong in
-/// the run's accounting. For live caches the two functions agree.
-std::vector<std::pair<std::string, CacheStats>> lifetime_cache_stats();
 
 /// Process-wide default capacity for the DSE caches (the --cache-size /
 /// --no-cache flags). Precedence: set_cache_capacity() override, else the
@@ -195,9 +175,9 @@ class MemoCache {
   /// `capacity` bounds the total resident entries (rounded up to the shard
   /// grid; see capacity()). 0 builds a disabled cache: lookups always miss
   /// and inserts are dropped, so callers can keep one unconditional code
-  /// path. `name` (optional) registers the cache for aggregate_cache_stats.
-  explicit MemoCache(std::size_t capacity, std::string name = "")
-      : name_(std::move(name)) {
+  /// path. `name` (optional) also counts the cache's events into the
+  /// metrics counters cache.<name>.{hits,misses,evictions}.
+  explicit MemoCache(std::size_t capacity, const std::string& name = "") {
     if (capacity > 0) {
       // Shards scale with capacity (one per 512 slots, capped) so small
       // caches stay compact while large ones spread lock pressure.
@@ -211,13 +191,12 @@ class MemoCache {
       }
       shard_mask_ = shard_count - 1;
     }
-    if (!name_.empty()) {
-      token_ = detail::register_cache(name_, [this] { return stats(); });
+    if (!name.empty()) {
+      const std::string prefix = "cache." + name + ".";
+      hits_metric_ = &metric_counter(prefix + "hits");
+      misses_metric_ = &metric_counter(prefix + "misses");
+      evictions_metric_ = &metric_counter(prefix + "evictions");
     }
-  }
-
-  ~MemoCache() {
-    if (!name_.empty()) detail::unregister_cache(token_, stats());
   }
 
   MemoCache(const MemoCache&) = delete;
@@ -245,10 +224,12 @@ class MemoCache {
         slot.last_used = shard.tick;
         out = slot.value;
         ++shard.stats.hits;
+        if (hits_metric_ != nullptr) hits_metric_->add();
         return true;
       }
     }
     ++shard.stats.misses;
+    if (misses_metric_ != nullptr) misses_metric_->add();
     return false;
   }
 
@@ -281,6 +262,7 @@ class MemoCache {
     if (target == nullptr) {
       target = oldest;
       ++shard.stats.evictions;
+      if (evictions_metric_ != nullptr) evictions_metric_->add();
       --shard.entries;
     }
     target->used = true;
@@ -353,8 +335,11 @@ class MemoCache {
     return KeyHash{}(key) & (shard.slots.size() - 1);
   }
 
-  std::string name_;
-  std::uint64_t token_ = 0;
+  // Process-wide counters of a named cache (null when unnamed). The metrics
+  // registry never destroys a counter, so these never dangle.
+  Counter* hits_metric_ = nullptr;
+  Counter* misses_metric_ = nullptr;
+  Counter* evictions_metric_ = nullptr;
   std::size_t shard_mask_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
 };

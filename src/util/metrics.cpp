@@ -8,8 +8,6 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "util/memo_cache.hpp"
-
 namespace clrearly::util {
 
 namespace detail {
@@ -66,8 +64,8 @@ void atomic_double_max(std::atomic<std::uint64_t>& bits, double x) noexcept {
 }
 
 /// The registry proper. Node-based maps keep metric addresses stable;
-/// leaked (like the cache registry) so metrics registered from static-
-/// storage objects stay usable during process exit.
+/// leaked so metrics registered from static-storage objects (the named
+/// MemoCaches among them) stay usable during process exit.
 struct MetricsRegistry {
   std::mutex mutex;
   std::map<std::string, std::unique_ptr<Counter>> counters;
@@ -216,26 +214,10 @@ JsonObject metrics_snapshot() {
     histograms_json[name] = JsonValue(std::move(h));
   }
 
-  // Lifetime view, not just live caches: the exit snapshot must still see
-  // the totals of caches destroyed before the hook fires (per-problem
-  // fitness caches, the process-wide chain cache under LIFO teardown).
-  JsonObject caches_json;
-  for (const auto& [name, stats] : lifetime_cache_stats()) {
-    JsonObject cache;
-    cache["hits"] = static_cast<std::size_t>(stats.hits);
-    cache["misses"] = static_cast<std::size_t>(stats.misses);
-    cache["evictions"] = static_cast<std::size_t>(stats.evictions);
-    cache["entries"] = stats.entries;
-    cache["capacity"] = stats.capacity;
-    cache["hit_rate"] = stats.hit_rate();
-    caches_json[name] = JsonValue(std::move(cache));
-  }
-
   JsonObject snapshot;
   snapshot["counters"] = JsonValue(std::move(counters_json));
   snapshot["gauges"] = JsonValue(std::move(gauges_json));
   snapshot["histograms"] = JsonValue(std::move(histograms_json));
-  snapshot["caches"] = JsonValue(std::move(caches_json));
   return snapshot;
 }
 

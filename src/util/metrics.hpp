@@ -22,10 +22,9 @@
 //     bit-identical to uninstrumented ones (pinned by the observability
 //     differential test).
 //
-// Snapshots serialize to util::json; metrics_snapshot() additionally
-// re-exports every named MemoCache's hit/miss/evict counters — live caches
-// plus the retained totals of already-destroyed ones (lifetime_cache_stats)
-// — under "caches", so one file describes the whole run.
+// Snapshots serialize to util::json. Named MemoCaches count into ordinary
+// counters here (cache.<name>.{hits,misses,evictions}); since counters are
+// never destroyed, one snapshot still covers caches that died mid-run.
 #pragma once
 
 #include <atomic>
@@ -155,17 +154,14 @@ Histogram& metric_histogram(const std::string& name,
 /// timings so snapshots stay comparable across subsystems.
 void observe_seconds(const std::string& name, double seconds);
 
-/// Snapshot every registered metric plus the cache counters:
-///   {"counters": {...}, "gauges": {...}, "histograms": {...},
-///    "caches": {"<name>": {"hits": ..., "misses": ..., ...}}}
-/// Cache counts come from lifetime_cache_stats() at call time, so they
-/// match what the caching layer itself reports (and still cover caches
-/// already destroyed when the exit hook takes the final snapshot).
+/// Snapshot every registered metric:
+///   {"counters": {...}, "gauges": {...}, "histograms": {...}}
 JsonObject metrics_snapshot();
 
-/// Zero every registered metric (counters, gauges, histograms). Registered
-/// references stay valid. Intended for tests and between-run isolation;
-/// does not touch the MemoCache counters.
+/// Zero every registered metric (counters, gauges, histograms), the
+/// cache.<name>.* counters included. Registered references stay valid.
+/// Intended for tests and between-run isolation; per-instance
+/// MemoCache::stats() are untouched.
 void reset_metrics();
 
 }  // namespace clrearly::util

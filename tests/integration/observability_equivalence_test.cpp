@@ -4,7 +4,7 @@
 // never reorders work, never feeds back into a computation. This test runs
 // every flow with observability off and on and compares fronts, genomes
 // and evaluation counts bit-for-bit, then sanity-checks that the files the
-// instrumented run produces are valid and agree with the cache registry.
+// instrumented run produces are valid and agree with the metrics registry.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -18,7 +18,6 @@
 #include "platform/architecture.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
-#include "util/memo_cache.hpp"
 #include "util/metrics.hpp"
 #include "util/observability.hpp"
 #include "util/thread_pool.hpp"
@@ -122,8 +121,8 @@ TEST_F(ObservabilityEquivalenceTest, WrittenFilesAreValidAndMatchRegistry) {
   ASSERT_FALSE(outcome.front.empty());
   util::write_observability_files();
 
-  // Metrics file: parses, has the nsga2 counters, and its caches section
-  // agrees with what the cache registry itself reports right now.
+  // Metrics file: parses, has the nsga2 counters, and its cache counters
+  // agree with the registry's values right now.
   const util::JsonValue metrics = util::json_parse(slurp(metrics_path));
   EXPECT_GT(metrics.at("counters").at("nsga2.evaluations").as_number(), 0.0);
   // The DSE hot paths route chain analyses through the batched kernel, so a
@@ -138,16 +137,17 @@ TEST_F(ObservabilityEquivalenceTest, WrittenFilesAreValidAndMatchRegistry) {
       metrics.at("histograms").at("dse.fcclr_seconds").at("count").as_number(),
       1.0);
   EXPECT_EQ(metrics.at("manifest").at("seed").as_string(), "7");
-  for (const auto& [name, stats] : util::lifetime_cache_stats()) {
-    const util::JsonValue& entry = metrics.at("caches").at(name);
-    // The run is over, so the counters are quiescent between the snapshot
-    // and this aggregation.
-    EXPECT_EQ(entry.at("hits").as_number(), double(stats.hits)) << name;
-    EXPECT_EQ(entry.at("misses").as_number(), double(stats.misses)) << name;
+  // Named caches count into ordinary counters; the run is over, so they
+  // are quiescent between the file's snapshot and this read. Both DSE
+  // caches must appear (at() throws otherwise), even with caching off.
+  for (const char* name :
+       {"cache.fitness.hits", "cache.fitness.misses", "cache.fitness.evictions",
+        "cache.chain_solve.hits", "cache.chain_solve.misses",
+        "cache.chain_solve.evictions"}) {
+    EXPECT_EQ(metrics.at("counters").at(name).as_number(),
+              double(util::metric_counter(name).value()))
+        << name;
   }
-  // The chain cache must actually appear — this is the regression the
-  // lifetime view exists for.
-  EXPECT_NE(metrics.at("caches").find("chain_solve"), nullptr);
 
   // Trace file: valid Chrome trace JSON with the expected span names and
   // the manifest as otherData.

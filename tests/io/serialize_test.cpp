@@ -134,6 +134,35 @@ TEST(SerializeApplicationTest, BadClassTagRejected) {
   EXPECT_THROW(application_from_json(json), std::runtime_error);
 }
 
+TEST(SerializeApplicationTest, IndicesMustBeNonNegativeIntegers) {
+  // Task types and edge endpoints index vectors, so a negative, fractional
+  // or out-of-range number must be rejected before any cast: a cast of -1
+  // is undefined behaviour and one of 2.5 silently truncates.
+  const util::JsonValue sobel = to_json(app::make_sobel_application());
+  for (const double bad : {-1.0, 2.5, 1e300, 18446744073709551616.0}) {
+    SCOPED_TRACE(bad);
+    util::JsonValue edge_src = sobel;
+    edge_src.as_object()["edges"].as_array()[0].as_object()["src"] = bad;
+    EXPECT_THROW(application_from_json(edge_src), std::runtime_error);
+    util::JsonValue edge_dst = sobel;
+    edge_dst.as_object()["edges"].as_array()[0].as_object()["dst"] = bad;
+    EXPECT_THROW(application_from_json(edge_dst), std::runtime_error);
+    util::JsonValue task_type = sobel;
+    task_type.as_object()["tasks"].as_array()[0].as_object()["type"] = bad;
+    EXPECT_THROW(application_from_json(task_type), std::runtime_error);
+  }
+}
+
+TEST(SerializeArchitectureTest, PeTypeIndicesMustBeNonNegativeIntegers) {
+  const util::JsonValue arch = to_json(platform::Architecture::paper_default());
+  for (const double bad : {-1.0, 0.5, 1e300}) {
+    SCOPED_TRACE(bad);
+    util::JsonValue copy = arch;
+    copy.as_object()["pes"].as_array()[0] = bad;
+    EXPECT_THROW(architecture_from_json(copy), std::runtime_error);
+  }
+}
+
 class SerializeFileTest : public ::testing::Test {
  protected:
   std::string path_ = (std::filesystem::temp_directory_path() /

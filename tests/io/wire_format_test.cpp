@@ -59,16 +59,6 @@ TEST(WireFormatTest, JobSpecRoundTripsThroughJson) {
   EXPECT_FALSE(back.spec.max_makespan_us.has_value());
 }
 
-TEST(WireFormatTest, ScenarioSetRoundTrips) {
-  const core::ScenarioSet scenarios = core::ScenarioSet::ground_and_altitude();
-  const core::ScenarioSet back =
-      io::scenario_set_from_json(io::to_json(scenarios));
-  ASSERT_EQ(back.size(), scenarios.size());
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    EXPECT_EQ(back.scenario(i), scenarios.scenario(i));
-  }
-}
-
 TEST(WireFormatTest, QosSpecAbsentKeysStayUnset) {
   const sched::QosSpec empty =
       io::qos_spec_from_json(util::json_parse("{}"));
@@ -136,6 +126,75 @@ TEST(WireFormatTest, RejectsBadFlowAndMalformedFields) {
                  "format_version": 1, "application": "sobel",
                  "scenario": {"environment_factor": -1}
                })")),
+               std::runtime_error);
+}
+
+/// job_spec_from_json over a minimal Sobel job plus one extra field.
+io::JobSpec parse_with(const std::string& field) {
+  return io::job_spec_from_json(util::json_parse(
+      R"({"format_version": 1, "application": "sobel", )" + field + "}"));
+}
+
+TEST(WireFormatTest, IntegerFieldsAreCheckedBeforeAnyCast) {
+  // Out of range, negative or fractional: every one is rejected before a
+  // cast could turn it into undefined behaviour or a silent truncation.
+  for (const char* bad :
+       {R"("seed": 1e300)", R"("seed": 18446744073709551616)",
+        R"("seed": -1)", R"("seed": 2.5)", R"("threads": 1e300)",
+        R"("ga": {"population_size": 1e20})",
+        R"("ga": {"tournament_k": 0.5})",
+        R"("resilience": {"max_failures": -2})",
+        R"("resilience": {"spare_pes": [1e300]})"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(parse_with(bad), std::runtime_error);
+  }
+  EXPECT_THROW(io::job_spec_from_json(util::json_parse(
+                   R"({"format_version": 1e300, "application": "sobel"})")),
+               std::runtime_error);
+  EXPECT_THROW(io::job_spec_from_json(util::json_parse(
+                   R"({"format_version": 4294967297, "application": "sobel"})")),
+               std::runtime_error);
+  // The largest double below 2^64 is still an integer in range.
+  EXPECT_EQ(parse_with(R"("seed": 18446744073709549568)").seed,
+            18446744073709549568ull);
+  EXPECT_EQ(parse_with(R"("seed": 0)").seed, 0u);
+}
+
+TEST(WireFormatTest, SyntheticSpecParsingIsStrict) {
+  for (const char* bad :
+       {"synthetic:5abc", "synthetic: 7", "synthetic:7 ", "synthetic:-1",
+        "synthetic:+5", "synthetic:0", "synthetic:", "synthetic:5:",
+        "synthetic:5:x", "synthetic:5:-1", "synthetic:5: 1", "synthetic:5:1:2",
+        "synthetic:99999999999999999999999",
+        "synthetic:5:18446744073709551616", "synthetic:80001",
+        "synthetic:1000000000"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_THROW(io::resolve_application(bad), std::runtime_error);
+    // The wire format resolves the same strings, so POST /v1/jobs
+    // answers 400 instead of allocating for them.
+    EXPECT_THROW(io::job_spec_from_json(util::json_parse(
+                     std::string(R"({"format_version": 1, "application": ")") +
+                     bad + R"("})")),
+                 std::runtime_error);
+  }
+  EXPECT_EQ(io::resolve_application("synthetic:5").graph.num_tasks(), 5u);
+  EXPECT_EQ(io::resolve_application("synthetic:5:18446744073709551615")
+                .graph.num_tasks(),
+            5u);
+  EXPECT_EQ(io::kMaxSyntheticTasks, 80000u);
+}
+
+TEST(WireFormatTest, LegacyArchiveSizeParsesAndIsIgnored) {
+  // The NSGA-II external archive is gone; old specs and journals carrying
+  // ga.archive_size still parse, to the same job, and nothing emits it.
+  const io::JobSpec legacy = parse_with(R"("ga": {"archive_size": 50})");
+  const io::JobSpec plain = parse_with(R"("ga": {})");
+  EXPECT_EQ(canon(legacy), canon(plain));
+  EXPECT_EQ(io::to_json(small_spec()).at("ga").find("archive_size"), nullptr);
+  // Still checked: a malformed value is rejected, not ignored.
+  EXPECT_THROW(parse_with(R"("ga": {"archive_size": -1})"),
+               std::runtime_error);
+  EXPECT_THROW(parse_with(R"("ga": {"archive_size": 1e300})"),
                std::runtime_error);
 }
 

@@ -247,7 +247,8 @@ TEST(ChainBatchCacheTest, BackfillsMemoCache) {
   // Second batched call over the same params: all cache hits, zero lanes.
   static util::Counter& lanes =
       util::metric_counter("chain.batch.lanes_filled");
-  static util::Counter& hits = util::metric_counter("chain.batch.cache_hits");
+  static util::Counter& hits =
+      util::metric_counter("cache.chain_solve.hits");
   const std::uint64_t lanes_before = lanes.value();
   const std::uint64_t hits_before = hits.value();
   const auto again = analyze_clr_chain_batch(params, options);

@@ -156,6 +156,48 @@ TEST(JournalTest, UnknownVersionRecordsAreSkippedNotFatal) {
   EXPECT_EQ(stats.dropped_torn, 0u);
 }
 
+TEST(JournalTest, MalformedVersionAndSeqAreSkippedNotCast) {
+  // "v" and "seq" go through the wire format's checked integer helper: a
+  // negative, fractional or out-of-range value is a malformed record,
+  // skipped like any other, never cast.
+  const std::string dir = fresh_dir("journal_bad_ints");
+  const std::string path = dir + "/journal.jsonl";
+  {
+    JobJournal journal(path, /*compact_bytes=*/0);
+    journal.record_submitted(JobRecord("job-000001", tiny_spec(1)),
+                             JobPriority::kNormal, "default");
+  }
+  std::ifstream in(path);
+  std::string good;
+  std::getline(in, good);
+  in.close();
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string line = good;
+    const std::size_t at = line.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return line.replace(at, from.size(), to);
+  };
+  const std::vector<std::string> bad = {
+      with(R"("seq": 1)", R"("seq": 1e300)"),
+      with(R"("seq": 1)", R"("seq": -1)"),
+      with(R"("seq": 1)", R"("seq": 2.5)"),
+      with(R"("v": 1)", R"("v": 1e300)"),
+      with(R"("v": 1)", R"("v": 4294967297)"),
+      with(R"("v": 1)", R"("v": -1)"),
+      with(R"("v": 1)", R"("v": 1.5)")};
+  {
+    std::ofstream out(path, std::ios::app);
+    for (const std::string& line : bad) out << line << "\n";
+  }
+  JournalReplayStats stats;
+  const std::vector<JournalEntry> entries = JobJournal::replay(path, &stats);
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].seq, 1u);
+  EXPECT_EQ(stats.records, 1u);
+  EXPECT_EQ(stats.skipped_version, bad.size());
+  EXPECT_EQ(stats.dropped_torn, 0u);
+}
+
 TEST(JournalTest, CompactionKeepsOnlyLiveJobs) {
   const std::string dir = fresh_dir("journal_compact");
   const std::string path = dir + "/journal.jsonl";

@@ -1,16 +1,21 @@
 // util::MemoCache — the sharded memoization layer under the DSE hot paths.
 // Covers the structural capacity bound, eviction accounting, hit/miss
-// semantics, the disabled (capacity 0) pass-through, the process-wide
-// registry/aggregation, the global capacity configuration, and concurrent
-// insert/lookup through the thread pool (run under TSan in CI).
+// semantics, the disabled (capacity 0) pass-through, the named caches'
+// process-wide cache.<name>.* counters (also under construct/destroy churn),
+// the global capacity configuration, and concurrent insert/lookup through
+// the thread pool (run under TSan in CI).
 #include "util/memo_cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace clrearly::util {
@@ -171,33 +176,101 @@ TEST(MemoCacheTest, ConcurrentInsertLookupUnderThreadPool) {
   EXPECT_LE(stats.entries, cache.capacity());
 }
 
+/// Current hits/misses/evictions of the metrics counters a cache named
+/// `name` counts into (entries/capacity stay 0: counters track events only).
+CacheStats counters_of(const std::string& name) {
+  CacheStats total;
+  total.hits = metric_counter("cache." + name + ".hits").value();
+  total.misses = metric_counter("cache." + name + ".misses").value();
+  total.evictions = metric_counter("cache." + name + ".evictions").value();
+  return total;
+}
+
 TEST(MemoCacheTest, NamedCachesAggregateByNameInTheRegistry) {
-  auto count_fitness = [](const char* name) {
-    std::uint64_t hits = 0;
-    bool found = false;
-    for (const auto& [cache_name, stats] : aggregate_cache_stats()) {
-      if (cache_name == name) {
-        hits = stats.hits;
-        found = true;
-      }
-    }
-    return std::make_pair(found, hits);
-  };
-  EXPECT_FALSE(count_fitness("memo_test_scope").first);
+  const CacheStats before = counters_of("memo_test_scope");
+  Cache a(64, "memo_test_scope");
+  Cache b(64, "memo_test_scope");
+  a.insert(key_of(1), 1);
+  b.insert(key_of(1), 1);
+  std::uint64_t out = 0;
+  ASSERT_TRUE(a.lookup(key_of(1), out));
+  ASSERT_TRUE(b.lookup(key_of(1), out));
+  ASSERT_FALSE(b.lookup(key_of(2), out));
+  const CacheStats after = counters_of("memo_test_scope");
+  EXPECT_EQ(after.hits - before.hits, 2u);  // summed across both caches
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_EQ(a.stats().hits, 1u);  // per-instance view stays per instance
+  EXPECT_EQ(b.stats().hits, 1u);
+}
+
+TEST(MemoCacheTest, LifetimeCountersOutliveDestroyedCaches) {
+  const CacheStats before = counters_of("memo_lifetime_scope");
   {
-    Cache a(64, "memo_test_scope");
-    Cache b(64, "memo_test_scope");
-    a.insert(key_of(1), 1);
-    b.insert(key_of(1), 1);
+    Cache cache(16, "memo_lifetime_scope");
+    for (std::uint64_t n = 0; n < 200; ++n) cache.insert(key_of(n), n);
     std::uint64_t out = 0;
-    ASSERT_TRUE(a.lookup(key_of(1), out));
-    ASSERT_TRUE(b.lookup(key_of(1), out));
-    const auto [found, hits] = count_fitness("memo_test_scope");
-    EXPECT_TRUE(found);
-    EXPECT_EQ(hits, 2u);  // summed across the two same-named caches
+    ASSERT_TRUE(cache.lookup(key_of(199), out));  // hit
+    ASSERT_FALSE(cache.lookup(key_of(1000), out));  // miss
+    const CacheStats live = cache.stats();
+    ASSERT_GT(live.evictions, 0u);
+    const CacheStats counted = counters_of("memo_lifetime_scope");
+    EXPECT_EQ(counted.hits - before.hits, live.hits);
+    EXPECT_EQ(counted.misses - before.misses, live.misses);
+    EXPECT_EQ(counted.evictions - before.evictions, live.evictions);
   }
-  // Destruction unregisters.
-  EXPECT_FALSE(count_fitness("memo_test_scope").first);
+  // The storage died with the cache; its event totals did not.
+  const CacheStats after = counters_of("memo_lifetime_scope");
+  EXPECT_EQ(after.hits - before.hits, 1u);
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_GT(after.evictions, before.evictions);
+}
+
+// Session eviction in the serve daemon destroys named fitness caches while
+// other threads take metrics snapshots. Nothing outside a cache may call
+// into it, so this churn must be clean under ASan and TSan, and the counter
+// deltas must equal the per-instance stats each cache had when it died.
+TEST(MemoCacheTest, NamedCacheChurnWhileSnapshottingCountsExactly) {
+  const CacheStats before = counters_of("memo_churn_scope");
+  constexpr std::size_t kBuilders = 3;
+  constexpr std::size_t kReaders = 2;
+  constexpr std::size_t kCachesPerBuilder = 300;
+  std::vector<CacheStats> died(kBuilders);
+  std::atomic<std::size_t> builders_left{kBuilders};
+  std::vector<std::thread> threads;
+  for (std::size_t b = 0; b < kBuilders; ++b) {
+    threads.emplace_back([&, b] {
+      for (std::size_t c = 0; c < kCachesPerBuilder; ++c) {
+        Cache cache(64, "memo_churn_scope");
+        std::uint64_t out = 0;
+        for (std::uint64_t n = 0; n < 96; ++n) {
+          (void)cache.get_or_compute(key_of((n * 7 + c) % 80),
+                                     [n] { return n; });
+        }
+        (void)cache.lookup(key_of(1u << 20), out);
+        died[b] += cache.stats();
+      }
+      builders_left.fetch_sub(1);
+    });
+  }
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      while (builders_left.load() > 0) {
+        const JsonObject snapshot = metrics_snapshot();
+        EXPECT_NE(snapshot.find("counters"), snapshot.end());
+        (void)counters_of("memo_churn_scope");
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  CacheStats expected;
+  for (const CacheStats& stats : died) expected += stats;
+  ASSERT_GT(expected.hits, 0u);
+  ASSERT_GT(expected.evictions, 0u);
+  const CacheStats after = counters_of("memo_churn_scope");
+  EXPECT_EQ(after.hits - before.hits, expected.hits);
+  EXPECT_EQ(after.misses - before.misses, expected.misses);
+  EXPECT_EQ(after.evictions - before.evictions, expected.evictions);
 }
 
 TEST(CacheCapacityTest, CacheEnvParsingRejectsGarbageAndNegatives) {
@@ -209,37 +282,6 @@ TEST(CacheCapacityTest, CacheEnvParsingRejectsGarbageAndNegatives) {
   EXPECT_EQ(detail::parse_cache_env(" 64"), kDefaultCacheCapacity);
   EXPECT_EQ(detail::parse_cache_env("0"), 0u);  // explicit disable
   EXPECT_EQ(detail::parse_cache_env("1024"), 1024u);
-}
-
-TEST(CacheRegistryTest, LifetimeStatsRetainDestroyedCaches) {
-  auto lifetime_of = [](const char* name) {
-    CacheStats total;
-    for (const auto& [cache_name, stats] : lifetime_cache_stats()) {
-      if (cache_name == name) total = stats;
-    }
-    return total;
-  };
-  const CacheStats before = lifetime_of("memo_lifetime_scope");
-  {
-    Cache cache(64, "memo_lifetime_scope");
-    cache.insert(key_of(1), 1);
-    std::uint64_t out = 0;
-    ASSERT_TRUE(cache.lookup(key_of(1), out));   // hit
-    ASSERT_FALSE(cache.lookup(key_of(2), out));  // miss
-    // While alive, the lifetime view includes the live counters...
-    const CacheStats alive = lifetime_of("memo_lifetime_scope");
-    EXPECT_EQ(alive.hits, before.hits + 1);
-    EXPECT_EQ(alive.misses, before.misses + 1);
-    EXPECT_EQ(alive.entries, 1u);  // live storage still counted
-  }
-  // ...and after destruction the event counters survive as retained
-  // totals, with the storage gone. aggregate_cache_stats stays live-only
-  // (pinned by NamedCachesAggregateByNameInTheRegistry above).
-  const CacheStats after = lifetime_of("memo_lifetime_scope");
-  EXPECT_EQ(after.hits, before.hits + 1);
-  EXPECT_EQ(after.misses, before.misses + 1);
-  EXPECT_EQ(after.entries, 0u);
-  EXPECT_EQ(after.capacity, 0u);
 }
 
 TEST(CacheCapacityTest, OverrideBeatsDefaultAndResetRestoresIt) {

@@ -1,8 +1,8 @@
 // The metrics registry's contracts: counters are exact under concurrency
 // (striping spreads contention but never drops an increment), registry
 // lookups return stable references, histograms bucket on inclusive upper
-// edges, and the snapshot re-exports the cache counters so one JSON file
-// matches what the caching layer itself reports. The concurrency tests
+// edges, and named MemoCaches count into ordinary counters that the
+// snapshot carries and that outlive the caches. The concurrency tests
 // double as the TSan workload for the whole layer.
 #include "util/metrics.hpp"
 
@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/memo_cache.hpp"
@@ -148,47 +149,39 @@ TEST_F(MetricsTest, SnapshotSerializesEveryKindAndParsesBack) {
   EXPECT_EQ(hist.at("buckets").as_array().size(), 7u);  // 6 bounds + overflow
 }
 
-TEST_F(MetricsTest, SnapshotCachesSectionMatchesTheCacheRegistry) {
+TEST_F(MetricsTest, SnapshotCarriesNamedCacheCounters) {
   using Cache = MemoCache<std::uint64_t, std::uint64_t>;
+  const auto counted = [](const JsonValue& snapshot, const char* what) {
+    return snapshot.at("counters")
+        .at(std::string("cache.metrics_test_cache.") + what)
+        .as_number();
+  };
+  // metric_counter registers the names, so even the first snapshot has them.
+  for (const char* what : {"hits", "misses", "evictions"}) {
+    (void)metric_counter(std::string("cache.metrics_test_cache.") + what);
+  }
+  const JsonValue before{metrics_snapshot()};
   {
     Cache cache(64, "metrics_test_cache");
     cache.insert(1, 10);
     std::uint64_t out = 0;
     ASSERT_TRUE(cache.lookup(1, out));   // 1 hit
     ASSERT_FALSE(cache.lookup(2, out));  // 1 miss
-
-    // Live cache: the snapshot must agree with aggregate_cache_stats.
-    CacheStats live;
-    for (const auto& [name, stats] : aggregate_cache_stats()) {
-      if (name == "metrics_test_cache") live = stats;
-    }
-    EXPECT_EQ(live.hits, 1u);
+    const CacheStats live = cache.stats();
+    // Live cache: the snapshot's counters agree with the instance's stats.
     const JsonValue snapshot{metrics_snapshot()};
-    const JsonValue& entry = snapshot.at("caches").at("metrics_test_cache");
-    EXPECT_EQ(entry.at("hits").as_number(), double(live.hits));
-    EXPECT_EQ(entry.at("misses").as_number(), double(live.misses));
-    EXPECT_EQ(entry.at("entries").as_number(), double(live.entries));
+    EXPECT_EQ(counted(snapshot, "hits") - counted(before, "hits"),
+              double(live.hits));
+    EXPECT_EQ(counted(snapshot, "misses") - counted(before, "misses"),
+              double(live.misses));
+    EXPECT_EQ(counted(snapshot, "evictions") - counted(before, "evictions"),
+              double(live.evictions));
   }
-  // Destroyed cache: gone from the live registry, but its event counters
-  // are retained for the exit snapshot (lifetime view).
-  for (const auto& [name, stats] : aggregate_cache_stats()) {
-    EXPECT_NE(name, "metrics_test_cache");
-  }
-  CacheStats lifetime;
-  bool found = false;
-  for (const auto& [name, stats] : lifetime_cache_stats()) {
-    if (name == "metrics_test_cache") {
-      lifetime = stats;
-      found = true;
-    }
-  }
-  ASSERT_TRUE(found);
-  EXPECT_GE(lifetime.hits, 1u);
-  EXPECT_GE(lifetime.misses, 1u);
-  EXPECT_EQ(lifetime.entries, 0u);  // storage died with the cache
+  // Destroyed cache: its counters stay in the snapshot with their totals.
   const JsonValue snapshot{metrics_snapshot()};
-  const JsonValue& entry = snapshot.at("caches").at("metrics_test_cache");
-  EXPECT_EQ(entry.at("hits").as_number(), double(lifetime.hits));
+  EXPECT_EQ(counted(snapshot, "hits") - counted(before, "hits"), 1.0);
+  EXPECT_EQ(counted(snapshot, "misses") - counted(before, "misses"), 1.0);
+  EXPECT_EQ(snapshot.find("caches"), nullptr);  // one counter system only
 }
 
 TEST_F(MetricsTest, ResetMetricsZeroesEverythingButKeepsReferences) {
@@ -197,8 +190,15 @@ TEST_F(MetricsTest, ResetMetricsZeroesEverythingButKeepsReferences) {
   counter.add(9);
   gauge.set(9.0);
   observe_seconds("test.reset_seconds", 1.0);
+  MemoCache<std::uint64_t, std::uint64_t> cache(64, "metrics_reset_cache");
+  std::uint64_t out = 0;
+  ASSERT_FALSE(cache.lookup(1, out));
   reset_metrics();
   EXPECT_EQ(counter.value(), 0u);
+  // The cache counters are ordinary counters: reset zeroes them too, and
+  // leaves the instance's own stats alone.
+  EXPECT_EQ(metric_counter("cache.metrics_reset_cache.misses").value(), 0u);
+  EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(gauge.value(), 0.0);
   EXPECT_EQ(metric_histogram("test.reset_seconds", {}).snapshot().count, 0u);
   counter.add(1);  // the reference survived the reset
