@@ -15,6 +15,7 @@ std::size_t TaskGraph::add_task(std::size_t type, std::string name,
   tasks_.push_back(Task{id, type, std::move(name), criticality});
   preds_.emplace_back();
   succs_.emplace_back();
+  first_out_.push_back(kNoEdge);
   return id;
 }
 
@@ -29,16 +30,19 @@ void TaskGraph::add_edge(std::size_t src, std::size_t dst, double data_kb) {
     throw std::invalid_argument("TaskGraph::add_edge: negative data volume");
   }
   if (find_edge(src, dst) != nullptr) return;
+  next_out_.push_back(first_out_[src]);
+  first_out_[src] = edges_.size();
   edges_.push_back(Edge{src, dst, data_kb});
   succs_[src].push_back(dst);
   preds_[dst].push_back(src);
 }
 
 const Edge* TaskGraph::find_edge(std::size_t src, std::size_t dst) const {
-  const auto it = std::find_if(
-      edges_.begin(), edges_.end(),
-      [&](const Edge& e) { return e.src == src && e.dst == dst; });
-  return it == edges_.end() ? nullptr : &*it;
+  if (src >= tasks_.size()) return nullptr;
+  for (std::size_t e = first_out_[src]; e != kNoEdge; e = next_out_[e]) {
+    if (edges_[e].dst == dst) return &edges_[e];
+  }
+  return nullptr;
 }
 
 std::size_t TaskGraph::num_types() const noexcept {

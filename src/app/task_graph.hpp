@@ -44,7 +44,7 @@ class TaskGraph {
   /// (the original edge and its data volume are kept).
   void add_edge(std::size_t src, std::size_t dst, double data_kb = 0.0);
 
-  /// The edge src -> dst, or nullptr when absent.
+  /// The edge src -> dst, or nullptr when absent. O(out-degree of src).
   const Edge* find_edge(std::size_t src, std::size_t dst) const;
 
   std::size_t num_tasks() const noexcept { return tasks_.size(); }
@@ -82,6 +82,13 @@ class TaskGraph {
   std::vector<Edge> edges_;
   std::vector<std::vector<std::size_t>> preds_;
   std::vector<std::vector<std::size_t>> succs_;
+  /// The edges leaving each task as a flat intrusive list: first_out_[src]
+  /// is the index in edges_ of the last edge added from src and
+  /// next_out_[e] the one added before e from the same source (kNoEdge ends
+  /// both).
+  static constexpr std::size_t kNoEdge = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> first_out_;
+  std::vector<std::size_t> next_out_;
 };
 
 /// A complete application: the task graph, the per-task-type implementation

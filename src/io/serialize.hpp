@@ -51,11 +51,12 @@ void save_application(const std::string& path,
                       const app::Application& application);
 app::Application load_application(const std::string& path);
 
-/// Most tasks a "synthetic:<tasks>" spec may ask for: about as many as an
-/// embedded model fits in the serve daemon's 16 MiB request body (synthetic
-/// models serialize to ~210 bytes per task), so a short spec string cannot
-/// make a request allocate gigabytes.
-inline constexpr std::size_t kMaxSyntheticTasks = 80000;
+/// Most tasks a "synthetic:<tasks>" spec may ask for. The job spec that
+/// embeds a synthetic model (what the serve daemon spools and a client may
+/// resubmit) serializes to ~234 bytes per task, so at the cap it stays ~2%
+/// below the daemon's 16 MiB request body limit, far more than seeds move it
+/// (~0.1%); and a short spec string cannot make a request allocate gigabytes.
+inline constexpr std::size_t kMaxSyntheticTasks = 70000;
 
 /// Resolve the spec strings every clrearly front end accepts:
 ///   application: "sobel" | "mjpeg" | "synthetic:<tasks>[:<seed>]" | a path

@@ -1,7 +1,7 @@
 #include "sched/list_scheduler.hpp"
 
 #include <algorithm>
-#include <limits>
+#include <functional>
 #include <stdexcept>
 
 namespace clrearly::sched {
@@ -85,42 +85,56 @@ Schedule list_schedule(const app::TaskGraph& graph,
   Schedule schedule;
   schedule.tasks.assign(n, ScheduledTask{});
   schedule.pe_busy_us.assign(num_pes, 0.0);
+  // Bucket the tasks by PE up front; each bucket fills in execution order.
+  schedule.pe_offsets.assign(num_pes + 1, 0);
+  for (const TaskAssignment& asg : assignments) {
+    ++schedule.pe_offsets[asg.pe + 1];
+  }
+  for (std::size_t p = 0; p < num_pes; ++p) {
+    schedule.pe_offsets[p + 1] += schedule.pe_offsets[p];
+  }
+  schedule.pe_tasks.assign(n, 0);
+  std::vector<std::size_t> pe_next(schedule.pe_offsets.begin(),
+                                   schedule.pe_offsets.end() - 1);
 
+  // Ready tasks as a min-heap of their ranks. Ranks are a permutation, so
+  // the top is the unique highest-priority ready task.
+  std::vector<std::size_t> ready;
   std::vector<std::size_t> unscheduled_preds(n, 0);
   for (std::size_t t = 0; t < n; ++t) {
     unscheduled_preds[t] = graph.predecessors(t).size();
+    if (unscheduled_preds[t] == 0) ready.push_back(rank[t]);
   }
+  const std::greater<std::size_t> later;
+  std::make_heap(ready.begin(), ready.end(), later);
   std::vector<double> pe_free(num_pes, 0.0);
-  std::vector<double> ready_time(n, 0.0);  // latest predecessor finish
-  std::vector<bool> done(n, false);
+  std::vector<double> ready_time(n, 0.0);  // latest data arrival
 
   for (std::size_t scheduled = 0; scheduled < n; ++scheduled) {
-    // Highest-priority ready task. O(T) scan per step; T <= a few hundred in
-    // every experiment, so quadratic total cost is irrelevant next to the
-    // Markov-chain evaluations.
-    std::size_t best = n;
-    for (std::size_t t = 0; t < n; ++t) {
-      if (done[t] || unscheduled_preds[t] != 0) continue;
-      if (best == n || rank[t] < rank[best]) best = t;
-    }
-    if (best == n) {
+    if (ready.empty()) {
       throw std::invalid_argument("list_schedule: graph contains a cycle");
     }
+    std::pop_heap(ready.begin(), ready.end(), later);
+    const std::size_t best = priority_order[ready.back()];
+    ready.pop_back();
 
     const TaskAssignment& asg = assignments[best];
     const double start = std::max(pe_free[asg.pe], ready_time[best]);
     const double end = start + asg.exec_time_us;
     schedule.tasks[best] = ScheduledTask{start, end, asg.pe};
+    schedule.pe_tasks[pe_next[asg.pe]++] = best;
     pe_free[asg.pe] = end;
     schedule.pe_busy_us[asg.pe] += asg.exec_time_us;
     schedule.makespan_us = std::max(schedule.makespan_us, end);
-    done[best] = true;
     for (std::size_t succ : graph.successors(best)) {
-      --unscheduled_preds[succ];
       const double arrival = data_arrival_us(graph, interconnect, best, succ,
                                              end, asg.pe,
                                              assignments[succ].pe);
       ready_time[succ] = std::max(ready_time[succ], arrival);
+      if (--unscheduled_preds[succ] == 0) {
+        ready.push_back(rank[succ]);
+        std::push_heap(ready.begin(), ready.end(), later);
+      }
     }
   }
   return schedule;

@@ -3,9 +3,10 @@
 // The GA chromosome encodes the schedule implicitly as the ordering of task
 // sub-sequences (Section V-C); the scheduler realizes it: among ready tasks
 // (all predecessors finished) the one earliest in the priority order starts
-// next on its bound PE, at max(PE-free time, latest predecessor finish).
-// Communication delays are not modeled — the paper's architecture abstraction
-// defers interconnect effects to future work.
+// next on its bound PE, at max(PE-free time, latest data arrival). Data
+// arrival includes the interconnect's transfer time when the architecture
+// enables the communication model (see list_schedule). Ready tasks wait in a
+// min-heap keyed on priority rank, so one schedule costs O((T + E) log T).
 #pragma once
 
 #include <cstddef>
@@ -35,6 +36,14 @@ struct Schedule {
   std::vector<ScheduledTask> tasks;  ///< indexed by task id
   double makespan_us = 0.0;          ///< Sapp = max SET_t
   std::vector<double> pe_busy_us;    ///< accumulated busy time per PE
+  /// Task ids grouped by PE in execution order: PE p ran
+  /// pe_tasks[pe_offsets[p] .. pe_offsets[p + 1]). End times never decrease
+  /// along one PE's range, so estimate_qos finds the task that kept a PE
+  /// busy until a given start by binary search: the lowest id among the
+  /// other tasks on that PE whose end lies within 1e-6 us of the start
+  /// (with zero-length tasks there can be several).
+  std::vector<std::size_t> pe_tasks;
+  std::vector<std::size_t> pe_offsets;  ///< num_pes + 1 entries
 
   /// Peak instantaneous power: max over time of the summed power of
   /// concurrently executing tasks (TABLE III, Eq. 4).

@@ -131,16 +131,22 @@ QosMetrics estimate_qos(const app::Application& application,
           break;
         }
       }
-      // Otherwise the PE was busy until our start.
+      // Otherwise the PE was busy until our start: the lowest-id other task
+      // on that PE ending within the tolerance of it. End times never
+      // decrease along a PE, so the candidates are one contiguous range.
       if (blocker == n) {
-        for (std::size_t t = 0; t < n; ++t) {
-          if (t == current || schedule.tasks[t].pe != schedule.tasks[current].pe) {
-            continue;
-          }
-          if (std::abs(schedule.tasks[t].end_us - start) < kTieTol) {
-            blocker = t;
-            break;
-          }
+        const std::size_t pe = schedule.tasks[current].pe;
+        const auto on_pe = schedule.pe_tasks.begin();
+        const auto last =
+            on_pe + static_cast<std::ptrdiff_t>(schedule.pe_offsets[pe + 1]);
+        auto it = std::partition_point(
+            on_pe + static_cast<std::ptrdiff_t>(schedule.pe_offsets[pe]), last,
+            [&](std::size_t t) {
+              return schedule.tasks[t].end_us - start <= -kTieTol;
+            });
+        for (; it != last; ++it) {
+          if (schedule.tasks[*it].end_us - start >= kTieTol) break;
+          if (*it != current) blocker = std::min(blocker, *it);
         }
       }
       if (blocker == n) break;

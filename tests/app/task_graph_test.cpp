@@ -135,6 +135,51 @@ TEST(TaskGraphTest, AccessorsThrowOutOfRange) {
   EXPECT_THROW(g.successors(10), std::out_of_range);
 }
 
+TEST(TaskGraphTest, DuplicateEdgeKeepsTheFirstDataVolume) {
+  TaskGraph g;
+  g.add_task(0, "a");
+  g.add_task(0, "b");
+  g.add_edge(0, 1, 4.0);
+  g.add_edge(0, 1, 9.0);
+  EXPECT_EQ(g.num_edges(), 1u);
+  ASSERT_NE(g.find_edge(0, 1), nullptr);
+  EXPECT_EQ(g.find_edge(0, 1)->data_kb, 4.0);
+  EXPECT_EQ(g.successors(0), (std::vector<std::size_t>{1}));
+  EXPECT_EQ(g.predecessors(1), (std::vector<std::size_t>{0}));
+}
+
+TEST(TaskGraphTest, FindEdgeOnAManyEdgeGraph) {
+  // Every pair i < j with (i + j) % 3 != 0, added from the highest source
+  // down so that edges() interleaves sources; duplicates re-added with a
+  // different volume are ignored.
+  constexpr std::size_t kTasks = 60;
+  TaskGraph g;
+  for (std::size_t t = 0; t < kTasks; ++t) g.add_task(0, "t");
+  std::vector<Edge> added;
+  for (std::size_t j = kTasks; j-- > 1;) {
+    for (std::size_t i = 0; i < j; ++i) {
+      if ((i + j) % 3 == 0) continue;
+      const double kb = static_cast<double>(i * kTasks + j);
+      g.add_edge(i, j, kb);
+      added.push_back(Edge{i, j, kb});
+      if (i % 7 == 0) g.add_edge(i, j, 1.0e6);  // duplicate
+    }
+  }
+  EXPECT_EQ(g.edges(), added);  // insertion order, first volume kept
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    for (std::size_t j = 0; j < kTasks; ++j) {
+      const Edge* edge = g.find_edge(i, j);
+      if (i < j && (i + j) % 3 != 0) {
+        ASSERT_NE(edge, nullptr) << i << "->" << j;
+        EXPECT_EQ(*edge, (Edge{i, j, static_cast<double>(i * kTasks + j)}));
+      } else {
+        EXPECT_EQ(edge, nullptr) << i << "->" << j;
+      }
+    }
+  }
+  EXPECT_EQ(g.find_edge(kTasks, 0), nullptr);  // unknown source
+}
+
 // --- Application -------------------------------------------------------------
 
 reliability::BaseImpl tiny_impl() {

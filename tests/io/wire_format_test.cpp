@@ -9,6 +9,7 @@
 #include "core/dse.hpp"
 #include "core/scenario.hpp"
 #include "io/serialize.hpp"
+#include "server/http.hpp"
 #include "util/json.hpp"
 
 namespace clrearly {
@@ -166,7 +167,7 @@ TEST(WireFormatTest, SyntheticSpecParsingIsStrict) {
         "synthetic:+5", "synthetic:0", "synthetic:", "synthetic:5:",
         "synthetic:5:x", "synthetic:5:-1", "synthetic:5: 1", "synthetic:5:1:2",
         "synthetic:99999999999999999999999",
-        "synthetic:5:18446744073709551616", "synthetic:80001",
+        "synthetic:5:18446744073709551616", "synthetic:70001",
         "synthetic:1000000000"}) {
     SCOPED_TRACE(bad);
     EXPECT_THROW(io::resolve_application(bad), std::runtime_error);
@@ -181,7 +182,22 @@ TEST(WireFormatTest, SyntheticSpecParsingIsStrict) {
   EXPECT_EQ(io::resolve_application("synthetic:5:18446744073709551615")
                 .graph.num_tasks(),
             5u);
-  EXPECT_EQ(io::kMaxSyntheticTasks, 80000u);
+  EXPECT_EQ(io::kMaxSyntheticTasks, 70000u);
+}
+
+TEST(WireFormatTest, LargestSyntheticSpecFitsTheRequestBodyLimit) {
+  // The spooled spec embeds the resolved model; at the task cap it must
+  // still be resubmittable over HTTP, whatever the seed's digit counts.
+  for (const char* seed : {"1", "7", "18446744073709551615"}) {
+    SCOPED_TRACE(seed);
+    const io::JobSpec spec = io::job_spec_from_json(util::json_parse(
+        std::string(R"({"format_version": 1, "application": "synthetic:)") +
+        std::to_string(io::kMaxSyntheticTasks) + ":" + seed + R"("})"));
+    ASSERT_EQ(spec.application.graph.num_tasks(), io::kMaxSyntheticTasks);
+    const std::size_t bytes =
+        util::json_serialize(io::to_json(spec)).size();
+    EXPECT_LT(bytes, server::kMaxBodyBytes);
+  }
 }
 
 TEST(WireFormatTest, LegacyArchiveSizeParsesAndIsIgnored) {

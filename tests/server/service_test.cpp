@@ -150,11 +150,14 @@ TEST(ServiceTest, KResilientJobMatchesOfflineFlowBitForBit) {
             offline.evaluations);
 
   // A second identical submission reuses the session's resilient problem
-  // and answers every evaluation from its fitness cache.
+  // and answers every evaluation from its fitness cache (when caching is on:
+  // CLREARLY_CACHE=0 must give the same front without any hits).
   const std::string again = run_to_completion(service, body);
   const util::JsonValue r2 = fetch_result(service, again);
-  EXPECT_GT(cache_field(r2, "fitness_hits"), 0u);
   EXPECT_EQ(r2.at("front"), result.at("front"));
+  if (util::cache_capacity() != 0) {
+    EXPECT_GT(cache_field(r2, "fitness_hits"), 0u);
+  }
 }
 
 TEST(ServiceTest, SecondIdenticalJobHitsTheFitnessCache) {
@@ -168,17 +171,24 @@ TEST(ServiceTest, SecondIdenticalJobHitsTheFitnessCache) {
   const util::JsonValue r1 = fetch_result(service, first);
   const util::JsonValue r2 = fetch_result(service, second);
 
-  // Identical spec + shared session: every evaluation is a cache hit.
-  EXPECT_GT(cache_field(r2, "fitness_hits"), 0u);
-  EXPECT_EQ(cache_field(r2, "fitness_misses"), 0u);
+  // Identical spec + shared session: the same front, and every evaluation
+  // is a cache hit. The hit and miss counts are only meaningful with the
+  // caches on (CLREARLY_CACHE=0 counts neither); the fronts always are.
+  const bool caching = util::cache_capacity() != 0;
   EXPECT_EQ(r1.at("front"), r2.at("front"));
+  if (caching) {
+    EXPECT_GT(cache_field(r2, "fitness_hits"), 0u);
+    EXPECT_EQ(cache_field(r2, "fitness_misses"), 0u);
+  }
 
   // A different seed shares the session but explores new genomes.
   const std::string third =
       run_to_completion(service, small_job_body("pfclr", 2));
   const util::JsonValue r3 = fetch_result(service, third);
-  EXPECT_GT(cache_field(r3, "fitness_misses"), 0u);
   EXPECT_NE(r1.at("front"), r3.at("front"));
+  if (caching) {
+    EXPECT_GT(cache_field(r3, "fitness_misses"), 0u);
+  }
 }
 
 TEST(ServiceTest, SessionRebuildHitsTheChainCache) {
