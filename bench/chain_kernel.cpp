@@ -20,6 +20,7 @@
 
 #include "core/experiment.hpp"
 #include "markov/chain_batch.hpp"
+#include "oracle/clr_chain_reference.hpp"
 #include "reliability/clr_chain_builder.hpp"
 #include "util/cli.hpp"
 #include "util/cpu_features.hpp"

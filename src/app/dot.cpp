@@ -47,10 +47,4 @@ void write_dot(std::ostream& os, const TaskGraph& graph,
   os << "}\n";
 }
 
-std::string to_dot(const TaskGraph& graph, const std::string& name) {
-  std::ostringstream oss;
-  write_dot(oss, graph, name);
-  return oss.str();
-}
-
 }  // namespace clrearly::app

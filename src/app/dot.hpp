@@ -15,8 +15,4 @@ namespace clrearly::app {
 void write_dot(std::ostream& os, const TaskGraph& graph,
                const std::string& name = "taskgraph");
 
-/// Convenience: DOT text as a string.
-std::string to_dot(const TaskGraph& graph,
-                   const std::string& name = "taskgraph");
-
 }  // namespace clrearly::app

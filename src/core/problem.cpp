@@ -47,12 +47,6 @@ std::vector<double> SystemObjectives::extract(
   return out;
 }
 
-double SystemObjectives::scalarize(const sched::QosMetrics& m) const {
-  double acc = 0.0;
-  for (double component : extract(m)) acc += component;
-  return acc;
-}
-
 ClrMappingProblem::ClrMappingProblem(app::Application application,
                                      platform::Architecture architecture,
                                      reliability::TaskAnalyzer analyzer,

@@ -51,10 +51,6 @@ struct SystemObjectives {
 
   std::size_t count() const;
   std::vector<double> extract(const sched::QosMetrics& m) const;
-
-  /// Weighted-sum scalarization of the active objectives (for single-
-  /// objective consumers; weights must be positive for a meaningful scalar).
-  double scalarize(const sched::QosMetrics& m) const;
 };
 
 class ClrMappingProblem {

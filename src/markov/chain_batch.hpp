@@ -5,16 +5,17 @@
 // lane-major: element (i, j) of chain l lives at (i*t + j)*W + l, so the W
 // copies of every matrix entry are contiguous. The batched kernel
 // (solve_row0_batch) then performs *exactly* the row-0 operation sequence of
-// the markov::AbsorbingChain reference — assemble I - Q, partially pivoted
-// LU, one adjoint solve, dot reductions, and optionally the second-moment
-// forward/backward solves — with each scalar operation widened to W lanes.
-// Because the per-lane arithmetic (operation order, pivot selection,
-// tie-breaking, the skip-on-zero branches) mirrors util::LuDecomposition
-// instruction for instruction, every lane's results are bit-identical to
+// the scalar reference in the tests-only oracle library (tests/oracle:
+// markov::AbsorbingChain over util::LuDecomposition) — assemble I - Q,
+// partially pivoted LU, one adjoint solve, dot reductions, and optionally
+// the second-moment forward/backward solves — with each scalar operation
+// widened to W lanes. Because the per-lane arithmetic (operation order,
+// pivot selection, tie-breaking, the skip-on-zero branches) mirrors that
+// LU instruction for instruction, every lane's results are bit-identical to
 // the reference's row-0 accessors for the same chain — at every lane width
 // and on every dispatch path (pinned by chain_batch_test and the
-// bench_chain_kernel divergence gate). This kernel is the only production
-// chain solver; markov::solve_row0_batch at width 1 serves single chains.
+// bench_chain_kernel divergence gate). This kernel is the only chain solver
+// in the library; markov::solve_row0_batch at width 1 serves single chains.
 //
 // Dispatch: the kernel body is a width-templated header
 // (chain_batch_kernel.hpp) instantiated in three translation units — a
@@ -33,6 +34,11 @@
 #include "util/cpu_features.hpp"
 
 namespace clrearly::markov {
+
+/// Relative threshold below which an LU pivot is treated as zero. The
+/// oracle's LuDecomposition uses this same constant, so its singularity test
+/// and each kernel lane's agree bit for bit.
+inline constexpr double kLuSingularTol = 1e-13;
 
 /// Structure-of-arrays workspace for W same-size chains. All buffers are
 /// lane-major (lane index innermost); configure() reshapes and zeroes the
@@ -119,7 +125,7 @@ std::size_t preferred_batch_width(util::SimdLevel level) noexcept;
 std::size_t preferred_batch_width() noexcept;
 
 /// Solve all W chains assembled in `batch` for their row-0 metrics, exactly
-/// as W AbsorbingChain reference solves would: per-lane results land in
+/// as W oracle AbsorbingChain solves would: per-lane results land in
 /// expected_time / expected_steps / b0 (and second_moment when requested).
 /// A lane whose I - Q is singular gets its `singular` flag set and
 /// value-initialized outputs instead of throwing — one bad chain must not

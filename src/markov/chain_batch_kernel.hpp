@@ -10,17 +10,18 @@
 //
 // Bit-identity contract: for every lane l, the sequence of floating-point
 // operations applied to chain l is *exactly* the sequence the scalar
-// reference applies — the markov::AbsorbingChain constructor's I - Q,
-// LuDecomposition factorization, solve_transposed and dot/sum/absorption
-// row-0 reductions, and (for the second moment) LuDecomposition::solve +
-// Matrix::apply + second_moment_rhs + the row-0 dot. The scalar code's
-// data-dependent
+// reference in the tests-only oracle (tests/oracle) applies — the
+// markov::AbsorbingChain constructor's I - Q, LuDecomposition
+// factorization, solve_transposed and dot/sum/absorption row-0 reductions,
+// and (for the second moment) LuDecomposition::solve + Matrix::apply +
+// second_moment_rhs + the row-0 dot. The scalar code's data-dependent
 // branches (`if (factor == 0.0) continue`, the `x == 0.0` skip in
 // row0_absorption) are reproduced as per-lane selects, which are
 // bit-equivalent to the skips (including the -0.0 edge cases the skips
 // protect) and keep the lane loops branch-free for the vectorizer. Loop
-// order, pivot tie-breaking (`>` keeps the first maximum) and the
-// singularity tolerance are copied from util/linsolve.cpp verbatim.
+// order and pivot tie-breaking (`>` keeps the first maximum) are copied
+// from tests/oracle/linsolve.cpp verbatim; both share the singularity
+// tolerance kLuSingularTol (chain_batch.hpp).
 //
 // A lane whose I - Q is numerically singular is flagged and its arithmetic
 // keeps running on garbage (IEEE non-trapping inf/NaN) — elementwise ops
@@ -34,7 +35,6 @@
 #include <utility>
 
 #include "markov/chain_batch.hpp"
-#include "util/linsolve.hpp"
 
 namespace clrearly::markov {
 namespace kernel_detail {
@@ -133,7 +133,7 @@ static void batch_kernel(ChainBatch& ws, bool with_second_moment) {
       }
     }
     for (std::size_t l = 0; l < W; ++l) {
-      tol[l] = util::kLuSingularTol * std::max(max_entry[l], 1.0);
+      tol[l] = kLuSingularTol * std::max(max_entry[l], 1.0);
     }
   }
 

@@ -1,52 +1,10 @@
 #include "moea/indicators.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <stdexcept>
 
 namespace clrearly::moea {
-
-namespace {
-
-double nearest_distance(const Objectives& point,
-                        const std::vector<Objectives>& set) {
-  double best = std::numeric_limits<double>::infinity();
-  for (const Objectives& other : set) {
-    best = std::min(best, objective_distance(point, other));
-  }
-  return best;
-}
-
-}  // namespace
-
-double objective_distance(const Objectives& a, const Objectives& b) {
-  if (a.size() != b.size() || a.empty()) {
-    throw std::invalid_argument("objective_distance: dimension mismatch");
-  }
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = a[i] - b[i];
-    acc += d * d;
-  }
-  return std::sqrt(acc);
-}
-
-double generational_distance(const std::vector<Objectives>& front,
-                             const std::vector<Objectives>& reference) {
-  if (front.empty() || reference.empty()) {
-    throw std::invalid_argument("generational_distance: empty input");
-  }
-  double acc = 0.0;
-  for (const Objectives& p : front) acc += nearest_distance(p, reference);
-  return acc / static_cast<double>(front.size());
-}
-
-double inverted_generational_distance(
-    const std::vector<Objectives>& front,
-    const std::vector<Objectives>& reference) {
-  return generational_distance(reference, front);
-}
 
 double epsilon_indicator(const std::vector<Objectives>& front,
                          const std::vector<Objectives>& reference) {
@@ -98,29 +56,6 @@ double coverage(const std::vector<Objectives>& a,
     }
   }
   return static_cast<double>(covered) / static_cast<double>(b.size());
-}
-
-double spread_delta(std::vector<Objectives> front) {
-  if (front.size() < 2) {
-    throw std::invalid_argument("spread_delta: need at least two points");
-  }
-  if (front[0].size() != 2) {
-    throw std::invalid_argument("spread_delta: bi-objective fronts only");
-  }
-  std::sort(front.begin(), front.end());
-  std::vector<double> gaps;
-  gaps.reserve(front.size() - 1);
-  double mean = 0.0;
-  for (std::size_t i = 1; i < front.size(); ++i) {
-    const double d = objective_distance(front[i - 1], front[i]);
-    gaps.push_back(d);
-    mean += d;
-  }
-  mean /= static_cast<double>(gaps.size());
-  if (mean <= 0.0) return 0.0;  // all points coincide
-  double acc = 0.0;
-  for (double d : gaps) acc += std::abs(d - mean);
-  return acc / (static_cast<double>(gaps.size()) * mean);
 }
 
 }  // namespace clrearly::moea

@@ -1,31 +1,13 @@
-// Multi-objective quality indicators beyond hypervolume — the standard
-// toolbox for comparing DSE fronts (all for minimization):
+// Multi-objective quality indicators beyond hypervolume, for comparing DSE
+// fronts (all for minimization):
 //
-//   * generational distance (GD)           — how close A is to a reference R
-//   * inverted generational distance (IGD) — how well A covers R
-//   * additive epsilon indicator           — smallest shift making A cover R
-//   * two-set coverage C(A, B)             — fraction of B dominated by A
-//   * spread (Deb's Delta, 2-D)            — distribution uniformity
+//   * additive epsilon indicator — smallest shift making A cover R
+//   * two-set coverage C(A, B)   — fraction of B dominated by A
 #pragma once
 
 #include "moea/pareto.hpp"
 
 namespace clrearly::moea {
-
-/// Euclidean distance between objective vectors (same length required).
-double objective_distance(const Objectives& a, const Objectives& b);
-
-/// Generational distance: mean distance from each point of `front` to its
-/// nearest neighbour in `reference`. 0 when the front lies on the reference.
-/// Throws on empty inputs.
-double generational_distance(const std::vector<Objectives>& front,
-                             const std::vector<Objectives>& reference);
-
-/// Inverted generational distance: mean distance from each reference point
-/// to its nearest neighbour in `front` — penalizes gaps in coverage.
-double inverted_generational_distance(
-    const std::vector<Objectives>& front,
-    const std::vector<Objectives>& reference);
 
 /// Additive epsilon indicator: the smallest eps such that every reference
 /// point is weakly dominated by some front point shifted by eps
@@ -39,10 +21,5 @@ double epsilon_indicator(const std::vector<Objectives>& front,
 /// Asymmetric: compare both directions. Throws when `b` is empty.
 double coverage(const std::vector<Objectives>& a,
                 const std::vector<Objectives>& b);
-
-/// Deb's spread metric Delta for bi-objective fronts: 0 for a perfectly
-/// uniform distribution, larger for clustered fronts. Requires >= 2 points
-/// and exactly 2 objectives.
-double spread_delta(std::vector<Objectives> front);
 
 }  // namespace clrearly::moea

@@ -17,7 +17,6 @@
 #include <span>
 #include <vector>
 
-#include "markov/chain.hpp"
 #include "markov/chain_batch.hpp"
 #include "util/memo_cache.hpp"
 
@@ -55,21 +54,7 @@ struct ClrChainParams {
   /// Probability of error-free useful execution of interval `i`:
   /// pne_i = exp(-lambda * interval_time(i)).
   double pne_for_interval(std::size_t i) const;
-
-  /// pne of the first interval under an equal split — kept for the common
-  /// equal-interval case and backward compatibility.
-  double pne_per_interval() const;
 };
-
-/// The Fig. 3 chain for `params` as a named-state markov::ChainBuilder
-/// assembly with full input validation: the timing chain of Fig. 3a
-/// (single absorbing state End, index 0) or, when `functional`, the
-/// functional chain of Fig. 3b (absorbing states Error and noError). The
-/// reference the batched assembler and kernel are tested against — its
-/// matrices equal assemble_clr_chain_batch's lanes bit for bit, and its
-/// row-0 accessors equal the kernel's results bit for bit.
-markov::AbsorbingChain build_chain_reference(const ClrChainParams& params,
-                                             bool functional);
 
 /// Indices of the functional chain's absorbing states.
 inline constexpr std::size_t kAbsorbError = 0;
@@ -128,9 +113,10 @@ struct ChainBatchOptions {
 /// Batched dense assembly: fill `batch` (already configure()d for
 /// `lanes.size()` lanes) with the Fig. 3a timing (resp. 3b functional)
 /// chain of each lane's parameters, lane-major. Every lane's Q / R /
-/// residence values equal build_chain_reference(*lanes[l], functional)'s
-/// matrices bit for bit. All lanes must share one size class (same
-/// `intervals`); pad lanes simply repeat a real ClrChainParams pointer.
+/// residence values equal the oracle build_chain_reference(*lanes[l],
+/// functional)'s matrices bit for bit (tests/oracle). All lanes must share
+/// one size class (same `intervals`); pad lanes simply repeat a real
+/// ClrChainParams pointer.
 void assemble_clr_chain_batch(
     std::span<const ClrChainParams* const> lanes, bool functional,
     markov::ChainBatch& batch);
@@ -141,7 +127,7 @@ void assemble_clr_chain_batch(
 /// lane groups through markov::solve_row0_batch, and backfill the cache.
 /// Results are positionally parallel to `params` and bit-identical at every
 /// group width and on every SIMD dispatch path to the row-0 metrics of the
-/// build_chain_reference chains (pinned by the differential tests).
+/// oracle's build_chain_reference chains (pinned by the differential tests).
 ///
 /// A non-absorbing chain (singular I - Q) throws std::domain_error —
 /// unless `status` is non-null, in which case no throw: (*status)[i]

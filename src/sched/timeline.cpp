@@ -1,37 +1,12 @@
 #include "sched/timeline.hpp"
 
 #include <algorithm>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 #include "util/csv.hpp"
 
 namespace clrearly::sched {
-
-void write_timeline_csv(std::ostream& os, const Schedule& schedule,
-                        const app::TaskGraph& graph) {
-  if (schedule.tasks.size() != graph.num_tasks()) {
-    throw std::invalid_argument("write_timeline_csv: schedule/graph mismatch");
-  }
-  std::vector<std::size_t> order(schedule.tasks.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (schedule.tasks[a].start_us != schedule.tasks[b].start_us) {
-      return schedule.tasks[a].start_us < schedule.tasks[b].start_us;
-    }
-    return a < b;
-  });
-
-  os << "task,name,pe,start_us,end_us,exec_us\n";
-  for (std::size_t t : order) {
-    const ScheduledTask& s = schedule.tasks[t];
-    os << t << ',' << graph.task(t).name << ',' << s.pe << ','
-       << util::format_compact(s.start_us) << ','
-       << util::format_compact(s.end_us) << ','
-       << util::format_compact(s.end_us - s.start_us) << '\n';
-  }
-}
 
 std::string gantt_chart(const Schedule& schedule, const app::TaskGraph& graph,
                         std::size_t num_pes, int width) {

@@ -1,18 +1,12 @@
-// Schedule presentation helpers: CSV timeline export and a fixed-width text
-// Gantt chart (used by the examples and handy for quick inspection).
+// Schedule presentation: a fixed-width text Gantt chart (used by the CLI
+// and the examples, and handy for quick inspection).
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "sched/list_scheduler.hpp"
 
 namespace clrearly::sched {
-
-/// Write one CSV row per task: task, name, pe, start_us, end_us, exec_us.
-/// Rows are ordered by start time (ties by task id).
-void write_timeline_csv(std::ostream& os, const Schedule& schedule,
-                        const app::TaskGraph& graph);
 
 /// Render the schedule as a text Gantt chart, one lane per PE, `width`
 /// characters across the makespan. Task marks cycle A..Z; a legend maps the

@@ -239,6 +239,11 @@ bool write_chunk(int fd, const std::string& data) {
 bool write_last_chunk(int fd) { return write_all(fd, "0\r\n\r\n", 5); }
 
 Listener::Listener(const std::string& host, int port) {
+  // Checked before htons's narrowing cast, which would wrap 70000 to 4464.
+  if (port < 0 || port > 65535) {
+    throw std::invalid_argument("server: port outside [0, 65535]: " +
+                                std::to_string(port));
+  }
   // Non-blocking: every handler thread polls this fd, one connection wakes
   // them all, and the threads that lose the accept race must not block in
   // accept(2) past a stop() request. Accepted fds do not inherit the flag

@@ -114,6 +114,8 @@ bool write_last_chunk(int fd);
 /// timeout so callers can observe a stop flag between connections.
 class Listener {
  public:
+  /// Throws std::invalid_argument for a port outside [0, 65535] and
+  /// std::runtime_error when binding fails.
   Listener(const std::string& host, int port);
   ~Listener();
   Listener(const Listener&) = delete;

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <stdexcept>
 #include <utility>
 
 #include "util/metrics.hpp"
@@ -16,7 +17,13 @@ HttpServer::HttpServer(DseService& service, ServerOptions options)
         if (options.max_requests_per_connection == 0) {
           options.max_requests_per_connection = 1;
         }
-        if (options.idle_timeout_ms <= 0) {
+        // A negative timeout is what a wrapped narrowing cast produces;
+        // reject it instead of quietly serving with the default.
+        if (options.idle_timeout_ms < 0) {
+          throw std::invalid_argument(
+              "server: idle_timeout_ms must not be negative");
+        }
+        if (options.idle_timeout_ms == 0) {
           options.idle_timeout_ms = kKeepAliveIdleMs;
         }
         return options;

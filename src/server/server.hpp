@@ -25,14 +25,16 @@ struct ServerOptions {
   /// Requests served over one keep-alive connection before the server
   /// closes it (bounds how long one client can monopolize a handler).
   std::size_t max_requests_per_connection = kMaxRequestsPerConnection;
-  /// How long a keep-alive connection may sit idle between requests.
+  /// How long a keep-alive connection may sit idle between requests
+  /// (0 = kKeepAliveIdleMs; negative is rejected).
   int idle_timeout_ms = kKeepAliveIdleMs;
 };
 
 class HttpServer {
  public:
-  /// Binds and listens immediately (throws on failure); call start() to
-  /// begin accepting. `service` must outlive the server.
+  /// Binds and listens immediately (throws on failure, and
+  /// std::invalid_argument for an out-of-range port or idle timeout); call
+  /// start() to begin accepting. `service` must outlive the server.
   HttpServer(DseService& service, ServerOptions options);
   ~HttpServer();
   HttpServer(const HttpServer&) = delete;

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -66,10 +67,25 @@ JobPath split_job_path(const std::string& path) {
   return out;
 }
 
+/// Rejects quota settings the token bucket cannot honour: a rate that is
+/// negative or not finite, or (with quotas on) a burst below one token,
+/// which would answer every submission with 429 and a false Retry-After.
+ServiceOptions validated(ServiceOptions options) {
+  if (!std::isfinite(options.quota_rate) || options.quota_rate < 0.0) {
+    throw std::invalid_argument(
+        "DseService: quota_rate must be finite and non-negative");
+  }
+  if (options.quota_rate > 0.0 && !(options.quota_burst >= 1.0)) {
+    throw std::invalid_argument(
+        "DseService: quota_burst must be at least 1 when quotas are on");
+  }
+  return options;
+}
+
 }  // namespace
 
 DseService::DseService(ServiceOptions options)
-    : options_(std::move(options)),
+    : options_(validated(std::move(options))),
       sessions_(options_.max_sessions),
       queue_(options_.workers, options_.queue_depth,
              [this](JobRecord& job) { run_one(job); }) {
@@ -224,7 +240,9 @@ std::optional<int> DseService::quota_retry_after(const std::string& client) {
   static util::Counter& rejected =
       util::metric_counter("server.quota.rejected");
   rejected.add();
-  const double wait = (1.0 - bucket.tokens) / options_.quota_rate;
+  // Clamped before the cast: a tiny rate makes the wait overflow an int.
+  const double wait = std::min((1.0 - bucket.tokens) / options_.quota_rate,
+                               double{std::numeric_limits<int>::max()});
   return std::max(1, static_cast<int>(std::ceil(wait)));
 }
 

@@ -58,10 +58,11 @@ struct ServiceOptions {
   /// compaction. 0 disables compaction.
   std::size_t journal_compact_bytes = 1 << 20;
   /// Per-client admission quota: sustained submissions/second. 0 disables
-  /// quota enforcement (the default — in-process embedders opt in).
+  /// quota enforcement (the default — in-process embedders opt in). Must be
+  /// finite and non-negative.
   double quota_rate = 0.0;
   /// Token-bucket burst: submissions a client may make back-to-back before
-  /// the sustained rate applies.
+  /// the sustained rate applies. At least 1 while quotas are on.
   double quota_burst = 8.0;
 };
 
@@ -71,6 +72,8 @@ class DseService {
   /// when the client is gone and streaming should stop.
   using EventSink = std::function<bool(const std::string&)>;
 
+  /// Throws std::invalid_argument for quota settings outside the ranges
+  /// documented on ServiceOptions.
   explicit DseService(ServiceOptions options);
 
   /// Route one request. Never throws; internal errors become 500s.

@@ -1,14 +1,16 @@
-// Deterministic discrete-event kernel for the Monte Carlo schedule
+// Deterministic discrete-event queue for the Monte Carlo schedule
 // simulator.
 //
-// A plain binary min-heap of (time, kind, task) events, ordered by time with
+// A std::vector min-heap (std::push_heap / std::pop_heap, as the list
+// scheduler's ready heap) of (time, kind, task) events, ordered by time with
 // insertion sequence as the tie-break: two events at the same timestamp pop
 // in the order they were pushed, on every platform and at every thread
-// count. That total order is what makes whole-simulation runs bit-identical
-// for a fixed seed — the scheduler never has to break a tie with anything
-// less reproducible.
+// count. (time, sequence) is a strict total order, so the pop sequence does
+// not depend on the heap's internals — that is what makes whole-simulation
+// runs bit-identical for a fixed seed.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -29,36 +31,45 @@ struct Event {
 class EventQueue {
  public:
   /// Schedule `event`; events at equal times pop in push order.
-  void push(const Event& event);
+  void push(const Event& event) {
+    heap_.push_back(Entry{event, next_seq_++});
+    std::push_heap(heap_.begin(), heap_.end(), later);
+  }
 
   /// Remove and return the earliest event. Undefined when empty().
-  Event pop();
+  Event pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const Event top = heap_.back().event;
+    heap_.pop_back();
+    return top;
+  }
 
   /// Earliest pending timestamp. Undefined when empty().
-  double next_time_us() const noexcept;
+  double next_time_us() const noexcept { return heap_.front().event.time_us; }
 
   bool empty() const noexcept { return heap_.empty(); }
   std::size_t size() const noexcept { return heap_.size(); }
 
   /// Drop all pending events and reset the sequence counter — lets one
   /// queue be reused across Monte Carlo trials without reallocating.
-  void clear() noexcept;
+  void clear() noexcept {
+    heap_.clear();
+    next_seq_ = 0;
+  }
 
  private:
   struct Entry {
     Event event;
     std::uint64_t seq = 0;  ///< push order, the deterministic tie-break
-
-    bool earlier_than(const Entry& other) const noexcept {
-      if (event.time_us != other.event.time_us) {
-        return event.time_us < other.event.time_us;
-      }
-      return seq < other.seq;
-    }
   };
 
-  void sift_up(std::size_t i) noexcept;
-  void sift_down(std::size_t i) noexcept;
+  /// Max-heap comparator of the std heap algorithms: "a pops after b".
+  static bool later(const Entry& a, const Entry& b) noexcept {
+    if (a.event.time_us != b.event.time_us) {
+      return a.event.time_us > b.event.time_us;
+    }
+    return a.seq > b.seq;
+  }
 
   std::vector<Entry> heap_;
   std::uint64_t next_seq_ = 0;

@@ -95,18 +95,6 @@ double Rng::lognormal(double mu, double sigma) noexcept {
   return std::exp(normal(mu, sigma));
 }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) noexcept {
-  double total = 0.0;
-  for (double w : weights) total += std::max(w, 0.0);
-  if (total <= 0.0) return index(weights.size());
-  double pick = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    pick -= std::max(weights[i], 0.0);
-    if (pick <= 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
 Rng Rng::split() noexcept {
   Rng child(0);
   for (auto& word : child.s_) word = next_u64();

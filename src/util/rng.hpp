@@ -7,8 +7,9 @@
 // and trivially fork-able for independent sub-streams.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <utility>
 
 namespace clrearly::util {
 
@@ -54,10 +55,6 @@ class Rng {
       swap(c[i - 1], c[j]);
     }
   }
-
-  /// Draw an index according to (unnormalized, non-negative) weights.
-  /// Falls back to uniform choice when all weights are zero.
-  std::size_t weighted_index(const std::vector<double>& weights) noexcept;
 
   /// Independent child stream, deterministically derived from this one.
   Rng split() noexcept;

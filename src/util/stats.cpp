@@ -55,18 +55,6 @@ double mean(const std::vector<double>& xs) noexcept {
   return acc / static_cast<double>(xs.size());
 }
 
-double geometric_mean(const std::vector<double>& xs) {
-  if (xs.empty()) return 0.0;
-  double log_acc = 0.0;
-  for (double x : xs) {
-    if (x <= 0.0) {
-      throw std::domain_error("geometric_mean: non-positive sample");
-    }
-    log_acc += std::log(x);
-  }
-  return std::exp(log_acc / static_cast<double>(xs.size()));
-}
-
 double median(std::vector<double> xs) { return quantile(std::move(xs), 0.5); }
 
 double quantile(std::vector<double> xs, double q) {

@@ -36,9 +36,6 @@ class RunningStats {
 /// Arithmetic mean of a sample; 0 for an empty sample.
 double mean(const std::vector<double>& xs) noexcept;
 
-/// Geometric mean; requires strictly positive entries, 0 for empty input.
-double geometric_mean(const std::vector<double>& xs);
-
 /// Median (interpolated for even sizes); copies and sorts internally.
 double median(std::vector<double> xs);
 

@@ -19,7 +19,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-enum class Phase : char { kComplete = 'X', kCounter = 'C', kInstant = 'i' };
+enum class Phase : char { kComplete = 'X', kCounter = 'C' };
 
 struct TraceEvent {
   const char* name;
@@ -130,12 +130,6 @@ void trace_counter(const char* name, double value) {
               detail::trace_now_us(), value});
 }
 
-void trace_instant(const char* name) {
-  if (!trace_enabled()) return;
-  push_event({name, Phase::kInstant, trace_thread_id(),
-              detail::trace_now_us(), 0.0});
-}
-
 std::size_t trace_event_count() {
   TraceState& st = state();
   std::lock_guard<std::mutex> lock(st.mutex);
@@ -192,9 +186,6 @@ void flush_trace() {
         e["args"] = JsonValue(std::move(args));
         break;
       }
-      case Phase::kInstant:
-        e["s"] = std::string("t");  // thread-scoped instant
-        break;
     }
     trace_events.push_back(JsonValue(std::move(e)));
   }

@@ -62,9 +62,6 @@ void set_trace_metadata(JsonObject metadata);
 /// Record a counter ("C") event — a named scalar series over trace time.
 void trace_counter(const char* name, double value);
 
-/// Record an instant ("i") event — a point-in-time marker.
-void trace_instant(const char* name);
-
 /// Write the buffered events to `trace_path()` as Chrome trace-event JSON.
 /// No-op when tracing is disabled. The buffer is not cleared, so flushing
 /// twice produces two consistent files. Throws std::runtime_error when the

@@ -1,4 +1,4 @@
-// Tests for the DOT export and schedule timeline/Gantt helpers.
+// Tests for the DOT export and the schedule Gantt chart.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -13,7 +13,9 @@ namespace {
 
 TEST(DotExportTest, ContainsAllNodesAndEdges) {
   const app::Application sobel = app::make_sobel_application();
-  const std::string dot = app::to_dot(sobel.graph, "sobel");
+  std::ostringstream oss;
+  app::write_dot(oss, sobel.graph, "sobel");
+  const std::string dot = oss.str();
   EXPECT_NE(dot.find("digraph \"sobel\""), std::string::npos);
   for (const app::Task& task : sobel.graph.tasks()) {
     EXPECT_NE(dot.find(task.name), std::string::npos) << task.name;
@@ -31,7 +33,9 @@ TEST(DotExportTest, ContainsAllNodesAndEdges) {
 TEST(DotExportTest, EscapesQuotesInNames) {
   app::TaskGraph g;
   g.add_task(0, "task \"quoted\"");
-  const std::string dot = app::to_dot(g);
+  std::ostringstream oss;
+  app::write_dot(oss, g);
+  const std::string dot = oss.str();
   EXPECT_NE(dot.find("task \\\"quoted\\\""), std::string::npos);
 }
 
@@ -40,7 +44,9 @@ TEST(DotExportTest, TypeColorsCycle) {
   for (std::size_t i = 0; i < 10; ++i) {
     g.add_task(i, "t" + std::to_string(i));
   }
-  const std::string dot = app::to_dot(g);
+  std::ostringstream oss;
+  app::write_dot(oss, g);
+  const std::string dot = oss.str();
   // Types 0 and 8 share a palette slot (8-entry palette).
   EXPECT_NE(dot.find("fillcolor"), std::string::npos);
 }
@@ -51,33 +57,6 @@ sched::Schedule sobel_schedule(const app::Application& sobel) {
     asg[t] = {t % 2, 100.0 + 10.0 * static_cast<double>(t), 0.5};
   }
   return sched::list_schedule(sobel.graph, asg, {0, 1, 2, 3, 4}, 2);
-}
-
-TEST(TimelineCsvTest, EmitsOrderedRows) {
-  const app::Application sobel = app::make_sobel_application();
-  const sched::Schedule schedule = sobel_schedule(sobel);
-  std::ostringstream oss;
-  sched::write_timeline_csv(oss, schedule, sobel.graph);
-  const std::string csv = oss.str();
-
-  EXPECT_NE(csv.find("task,name,pe,start_us,end_us,exec_us"),
-            std::string::npos);
-  // Header + 5 rows.
-  std::size_t lines = 0;
-  for (char c : csv) {
-    if (c == '\n') ++lines;
-  }
-  EXPECT_EQ(lines, 6u);
-  // First data row is the source task GScale at start 0.
-  EXPECT_NE(csv.find("0,GScale,0,0,"), std::string::npos);
-}
-
-TEST(TimelineCsvTest, MismatchedScheduleRejected) {
-  const app::Application sobel = app::make_sobel_application();
-  sched::Schedule schedule;  // empty
-  std::ostringstream oss;
-  EXPECT_THROW(sched::write_timeline_csv(oss, schedule, sobel.graph),
-               std::invalid_argument);
 }
 
 TEST(GanttChartTest, RendersOneLanePerPe) {

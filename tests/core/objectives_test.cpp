@@ -60,13 +60,6 @@ TEST(SystemObjectivesTest, WeightsDoNotChangeDominance) {
   EXPECT_TRUE(moea::dominates(weighted.extract(a), weighted.extract(b)));
 }
 
-TEST(SystemObjectivesTest, ScalarizeSumsWeightedComponents) {
-  SystemObjectives obj;
-  obj.w_makespan = 0.001;
-  obj.w_error_prob = 10.0;
-  EXPECT_DOUBLE_EQ(obj.scalarize(sample_metrics()), 1.0 + 0.5);
-}
-
 TEST(ManyObjectiveDseTest, TriObjectiveRunProducesValidFront) {
   util::set_log_level(util::LogLevel::Warn);
   // Makespan + error probability + lifetime: exercises the WFG hypervolume

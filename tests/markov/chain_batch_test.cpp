@@ -16,13 +16,14 @@
 #include <stdexcept>
 #include <vector>
 
-#include "markov/chain.hpp"
+#include "oracle/chain.hpp"
+#include "oracle/clr_chain_reference.hpp"
+#include "oracle/linsolve.hpp"
+#include "oracle/matrix.hpp"
 #include "platform/pe.hpp"
 #include "reliability/clr_chain_builder.hpp"
 #include "reliability/task_metrics.hpp"
 #include "util/cpu_features.hpp"
-#include "util/linsolve.hpp"
-#include "util/matrix.hpp"
 #include "util/memo_cache.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"

@@ -4,7 +4,7 @@
 // named-state ChainBuilder path, thread-local batch workspaces under
 // concurrency (TSan coverage), input validation, and simulate()'s
 // truncation accounting.
-#include "markov/chain.hpp"
+#include "oracle/chain.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,8 +13,9 @@
 #include <vector>
 
 #include "markov/chain_batch.hpp"
+#include "oracle/clr_chain_reference.hpp"
+#include "oracle/linsolve.hpp"
 #include "reliability/clr_chain_builder.hpp"
-#include "util/linsolve.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 

@@ -5,7 +5,7 @@
 
 #include <cmath>
 
-#include "markov/chain.hpp"
+#include "oracle/chain.hpp"
 #include "util/rng.hpp"
 
 namespace clrearly::markov {

@@ -1,4 +1,4 @@
-#include "markov/chain.hpp"
+#include "oracle/chain.hpp"
 
 #include <gtest/gtest.h>
 

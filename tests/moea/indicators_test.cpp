@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <stdexcept>
 
 namespace clrearly::moea {
@@ -10,40 +9,6 @@ namespace {
 
 const std::vector<Objectives> kStaircase{
     {1.0, 4.0}, {2.0, 3.0}, {3.0, 2.0}, {4.0, 1.0}};
-
-TEST(ObjectiveDistanceTest, EuclideanNorm) {
-  EXPECT_DOUBLE_EQ(objective_distance({0.0, 0.0}, {3.0, 4.0}), 5.0);
-  EXPECT_DOUBLE_EQ(objective_distance({1.0}, {1.0}), 0.0);
-  EXPECT_THROW(objective_distance({1.0}, {1.0, 2.0}), std::invalid_argument);
-}
-
-TEST(GenerationalDistanceTest, ZeroWhenOnReference) {
-  EXPECT_DOUBLE_EQ(generational_distance(kStaircase, kStaircase), 0.0);
-  const std::vector<Objectives> subset{{2.0, 3.0}};
-  EXPECT_DOUBLE_EQ(generational_distance(subset, kStaircase), 0.0);
-}
-
-TEST(GenerationalDistanceTest, MeasuresMeanNearestDistance) {
-  const std::vector<Objectives> shifted{{1.0, 5.0}, {2.0, 4.0}};
-  // Each point is exactly 1.0 above its reference twin.
-  EXPECT_DOUBLE_EQ(generational_distance(shifted, kStaircase), 1.0);
-}
-
-TEST(GenerationalDistanceTest, EmptyInputsRejected) {
-  EXPECT_THROW(generational_distance({}, kStaircase), std::invalid_argument);
-  EXPECT_THROW(generational_distance(kStaircase, {}), std::invalid_argument);
-}
-
-TEST(IgdTest, PenalizesPoorCoverage) {
-  // A front collapsed to one corner covers the reference badly even though
-  // its GD is zero.
-  const std::vector<Objectives> corner{{1.0, 4.0}};
-  EXPECT_DOUBLE_EQ(generational_distance(corner, kStaircase), 0.0);
-  EXPECT_GT(inverted_generational_distance(corner, kStaircase), 1.0);
-  // The full reference covers itself perfectly.
-  EXPECT_DOUBLE_EQ(inverted_generational_distance(kStaircase, kStaircase),
-                   0.0);
-}
 
 TEST(EpsilonIndicatorTest, ZeroOrNegativeWhenCovering) {
   EXPECT_LE(epsilon_indicator(kStaircase, kStaircase), 0.0);
@@ -75,24 +40,6 @@ TEST(CoverageTest, SelfCoverageIsOne) {
 TEST(CoverageTest, EmptySecondSetRejected) {
   EXPECT_THROW(coverage(kStaircase, {}), std::invalid_argument);
   EXPECT_DOUBLE_EQ(coverage({}, kStaircase), 0.0);
-}
-
-TEST(SpreadTest, UniformFrontHasZeroDelta) {
-  EXPECT_NEAR(spread_delta(kStaircase), 0.0, 1e-12);
-}
-
-TEST(SpreadTest, ClusteredFrontHasPositiveDelta) {
-  const std::vector<Objectives> clustered{
-      {1.0, 4.0}, {1.1, 3.9}, {1.2, 3.8}, {4.0, 1.0}};
-  EXPECT_GT(spread_delta(clustered), 0.5);
-}
-
-TEST(SpreadTest, Validation) {
-  EXPECT_THROW(spread_delta({{1.0, 2.0}}), std::invalid_argument);
-  EXPECT_THROW(spread_delta({{1.0, 2.0, 3.0}, {2.0, 1.0, 3.0}}),
-               std::invalid_argument);
-  // Coincident points: delta defined as 0.
-  EXPECT_DOUBLE_EQ(spread_delta({{1.0, 1.0}, {1.0, 1.0}}), 0.0);
 }
 
 }  // namespace

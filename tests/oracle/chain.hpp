@@ -20,9 +20,10 @@
 // every row-0 metric is a dot product against it. The full N, B and
 // second-moment vectors are computed lazily, on first access.
 //
-// Production chain solves run on the batched kernel (chain_batch.hpp);
-// AbsorbingChain is the reference it is tested against: its row-0
-// accessors and the kernel's lanes are bit-identical.
+// Production chain solves run on the batched kernel
+// (src/markov/chain_batch.hpp); AbsorbingChain is the tests-only reference
+// it is checked against: its row-0 accessors and the kernel's lanes are
+// bit-identical.
 #pragma once
 
 #include <cstddef>
@@ -31,8 +32,8 @@
 #include <mutex>
 #include <vector>
 
-#include "util/linsolve.hpp"
-#include "util/matrix.hpp"
+#include "oracle/linsolve.hpp"
+#include "oracle/matrix.hpp"
 
 namespace clrearly::markov {
 

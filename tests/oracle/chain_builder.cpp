@@ -1,4 +1,4 @@
-#include "markov/chain_builder.hpp"
+#include "oracle/chain_builder.hpp"
 
 #include <cmath>
 #include <stdexcept>

@@ -11,7 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "markov/chain.hpp"
+#include "oracle/chain.hpp"
 
 namespace clrearly::markov {
 

@@ -1,8 +1,10 @@
-#include "util/linsolve.hpp"
+#include "oracle/linsolve.hpp"
 
 #include <cmath>
 #include <stdexcept>
 #include <utility>
+
+#include "markov/chain_batch.hpp"
 
 namespace clrearly::util {
 
@@ -20,7 +22,7 @@ LuDecomposition::LuDecomposition(Matrix a) : lu_(std::move(a)) {
       max_entry = std::max(max_entry, std::abs(lu_(i, j)));
     }
   }
-  const double tol = kLuSingularTol * std::max(max_entry, 1.0);
+  const double tol = markov::kLuSingularTol * std::max(max_entry, 1.0);
 
   for (std::size_t k = 0; k < n; ++k) {
     // Partial pivoting: bring the largest remaining |entry| in column k up.

@@ -1,4 +1,5 @@
-// Direct dense linear solvers built on util::Matrix.
+// Direct dense linear solvers built on util::Matrix — part of the
+// tests-only chain oracle (tests/oracle), never linked into the library.
 //
 // The Markov-chain analysis needs (I - Q)^{-1} applied to residence-time
 // vectors and to the absorbing-transition block R. Chains stay small (a few
@@ -14,14 +15,9 @@
 
 #include <vector>
 
-#include "util/matrix.hpp"
+#include "oracle/matrix.hpp"
 
 namespace clrearly::util {
-
-/// Relative threshold below which an LU pivot is treated as zero. Shared
-/// with the batched chain kernel, whose per-lane singularity test must match
-/// the LuDecomposition factorization bit for bit.
-inline constexpr double kLuSingularTol = 1e-13;
 
 /// Partially pivoted LU decomposition of a square matrix.
 ///

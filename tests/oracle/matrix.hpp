@@ -1,7 +1,7 @@
 // Dense row-major matrix of double, sized for the small systems that arise in
 // absorbing-Markov-chain analysis (tens of states). Deliberately minimal: the
-// library needs construction, element access, slicing, products and a linear
-// solve (see linsolve.hpp) — not a general BLAS.
+// chain oracle needs construction, element access, slicing, products and a
+// linear solve (see linsolve.hpp) — not a general BLAS.
 #pragma once
 
 #include <cstddef>

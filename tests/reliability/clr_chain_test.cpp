@@ -5,7 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "markov/chain.hpp"
+#include "oracle/chain.hpp"
+#include "oracle/clr_chain_reference.hpp"
 
 namespace clrearly::reliability {
 namespace {
@@ -49,9 +50,9 @@ TEST(ClrChainParamsTest, ValidatesRanges) {
 
 TEST(ClrChainParamsTest, PnePerInterval) {
   ClrChainParams p = base_params();
-  EXPECT_NEAR(p.pne_per_interval(), std::exp(-0.2), 1e-12);
+  EXPECT_NEAR(p.pne_for_interval(0), std::exp(-0.2), 1e-12);
   p.intervals = 4;
-  EXPECT_NEAR(p.pne_per_interval(), std::exp(-0.05), 1e-12);
+  EXPECT_NEAR(p.pne_for_interval(0), std::exp(-0.05), 1e-12);
 }
 
 // --- Unprotected task: closed forms -------------------------------------------

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -132,6 +133,25 @@ TEST(HttpTest, StatusTextCoversServiceCodes) {
   EXPECT_STREQ(status_text(202), "Accepted");
   EXPECT_STREQ(status_text(429), "Too Many Requests");
   EXPECT_STREQ(status_text(500), "Internal Server Error");
+}
+
+TEST(HttpTest, ListenerRejectsPortsOutsideTheTcpRange) {
+  // Narrowed to 16 bits, 70000 would bind port 4464 and -1 port 65535.
+  EXPECT_THROW(Listener("127.0.0.1", 70000), std::invalid_argument);
+  EXPECT_THROW(Listener("127.0.0.1", -1), std::invalid_argument);
+}
+
+TEST(HttpTest, ServerRejectsNegativeIdleTimeout) {
+  // -1294967296 is --idle-timeout-ms 3000000000 wrapped through an int; it
+  // must not be quietly replaced by the default timeout.
+  ServiceOptions service_options;
+  service_options.workers = 1;
+  DseService service(service_options);
+  ServerOptions server_options;
+  server_options.port = 0;
+  server_options.idle_timeout_ms = -1294967296;
+  EXPECT_THROW(HttpServer(service, server_options), std::invalid_argument);
+  service.shutdown(true);
 }
 
 TEST(HttpTest, ServerAnswersOverRealSockets) {

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -395,6 +397,48 @@ TEST(ServiceTest, QuotaRejectsOverRateClientPerKey) {
   bad.headers["x-priority"] = "urgent";
   EXPECT_EQ(service.handle(bad).status, 400);
 
+  service.shutdown(/*cancel_pending=*/true);
+}
+
+TEST(ServiceTest, QuotaSettingsOutsideTheBucketsRangeAreRejected) {
+  // A burst below one token never admits a submission: every POST would
+  // get 429 with a Retry-After that is never true.
+  ServiceOptions fractional_burst;
+  fractional_burst.quota_rate = 1.0;
+  fractional_burst.quota_burst = 0.5;
+  EXPECT_THROW(DseService{fractional_burst}, std::invalid_argument);
+
+  for (const double rate : {-1.0, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    ServiceOptions bad_rate;
+    bad_rate.quota_rate = rate;
+    EXPECT_THROW(DseService{bad_rate}, std::invalid_argument) << rate;
+  }
+
+  // With quotas off the burst is unused, so any value is accepted.
+  ServiceOptions quotas_off;
+  quotas_off.workers = 1;
+  quotas_off.quota_burst = 0.0;
+  DseService service(quotas_off);
+  service.shutdown(/*cancel_pending=*/true);
+}
+
+TEST(ServiceTest, QuotaRetryAfterSaturatesForTinyRates) {
+  // At 1e-300 tokens/s the refill deficit is ~1e300 s, far past an int: the
+  // Retry-After hint saturates instead of overflowing the cast.
+  ServiceOptions options;
+  options.workers = 1;
+  options.quota_rate = 1e-300;
+  options.quota_burst = 1;
+  DseService service(options);
+  const HttpRequest submit = make_request("POST", "/v1/jobs",
+                                          small_job_body("fcclr", 1, 300));
+  EXPECT_EQ(service.handle(submit).status, 202);
+  const HttpResponse rejected = service.handle(submit);
+  ASSERT_EQ(rejected.status, 429) << rejected.body;
+  const std::string* retry_after = find_header(rejected, "Retry-After");
+  ASSERT_NE(retry_after, nullptr);
+  EXPECT_EQ(*retry_after, std::to_string(std::numeric_limits<int>::max()));
   service.shutdown(/*cancel_pending=*/true);
 }
 

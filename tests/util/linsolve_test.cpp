@@ -1,4 +1,4 @@
-#include "util/linsolve.hpp"
+#include "oracle/linsolve.hpp"
 
 #include <gtest/gtest.h>
 

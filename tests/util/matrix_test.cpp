@@ -1,4 +1,4 @@
-#include "util/matrix.hpp"
+#include "oracle/matrix.hpp"
 
 #include <gtest/gtest.h>
 

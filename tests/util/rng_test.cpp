@@ -144,25 +144,6 @@ TEST(RngTest, ShuffleActuallyShuffles) {
   EXPECT_NE(v, original);  // astronomically unlikely to be identity
 }
 
-TEST(RngTest, WeightedIndexFollowsWeights) {
-  Rng rng(20);
-  const std::vector<double> weights{1.0, 0.0, 3.0};
-  int counts[3] = {0, 0, 0};
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[rng.weighted_index(weights)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[0]) / n, 0.25, 0.01);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.75, 0.01);
-}
-
-TEST(RngTest, WeightedIndexAllZeroFallsBackToUniform) {
-  Rng rng(21);
-  const std::vector<double> weights{0.0, 0.0, 0.0, 0.0};
-  std::set<std::size_t> seen;
-  for (int i = 0; i < 200; ++i) seen.insert(rng.weighted_index(weights));
-  EXPECT_EQ(seen.size(), 4u);
-}
-
 TEST(RngTest, SplitStreamsAreIndependentAndDeterministic) {
   Rng parent_a(99), parent_b(99);
   Rng child_a = parent_a.split();

@@ -72,12 +72,6 @@ TEST(StatsTest, MeanOfVector) {
   EXPECT_EQ(mean({}), 0.0);
 }
 
-TEST(StatsTest, GeometricMean) {
-  EXPECT_NEAR(geometric_mean({1.0, 4.0, 16.0}), 4.0, 1e-12);
-  EXPECT_THROW(geometric_mean({1.0, -1.0}), std::domain_error);
-  EXPECT_EQ(geometric_mean({}), 0.0);
-}
-
 TEST(StatsTest, MedianOddAndEven) {
   EXPECT_DOUBLE_EQ(median({3.0, 1.0, 2.0}), 2.0);
   EXPECT_DOUBLE_EQ(median({4.0, 1.0, 2.0, 3.0}), 2.5);

@@ -43,7 +43,6 @@ TEST_F(TraceTest, DisabledTracingRecordsNothing) {
     EXPECT_EQ(span.elapsed_seconds(), 0.0);
   }
   trace_counter("never.counter", 1.0);
-  trace_instant("never.instant");
   EXPECT_EQ(trace_event_count(), 0u);
   flush_trace();  // no-op, must not throw or create files
 }
@@ -60,8 +59,7 @@ TEST_F(TraceTest, FlushWritesValidChromeTraceJson) {
 
   { TraceSpan span("test.span"); }
   trace_counter("test.counter", 3.5);
-  trace_instant("test.marker");
-  EXPECT_EQ(trace_event_count(), 3u);
+  EXPECT_EQ(trace_event_count(), 2u);
   flush_trace();
 
   const JsonValue root = json_parse(slurp(path));
@@ -70,8 +68,8 @@ TEST_F(TraceTest, FlushWritesValidChromeTraceJson) {
   EXPECT_EQ(root.at("otherData").at("dropped_events").as_number(), 0.0);
 
   const JsonArray& events = root.at("traceEvents").as_array();
-  ASSERT_EQ(events.size(), 3u);
-  // Ring order is record order: span end, counter, instant.
+  ASSERT_EQ(events.size(), 2u);
+  // Ring order is record order: span end, counter.
   const JsonValue& span = events[0];
   EXPECT_EQ(span.at("name").as_string(), "test.span");
   EXPECT_EQ(span.at("ph").as_string(), "X");
@@ -82,16 +80,12 @@ TEST_F(TraceTest, FlushWritesValidChromeTraceJson) {
   const JsonValue& counter = events[1];
   EXPECT_EQ(counter.at("ph").as_string(), "C");
   EXPECT_EQ(counter.at("args").at("value").as_number(), 3.5);
-
-  const JsonValue& instant = events[2];
-  EXPECT_EQ(instant.at("ph").as_string(), "i");
-  EXPECT_EQ(instant.at("s").as_string(), "t");
 }
 
 TEST_F(TraceTest, FlushTwiceProducesTwoConsistentFiles) {
   const std::string path = temp_path("trace_test_twice.json");
   set_trace_path(path);
-  trace_instant("test.twice");
+  trace_counter("test.twice", 1.0);
   flush_trace();
   const std::string first = slurp(path);
   flush_trace();  // the buffer is not cleared by a flush
@@ -100,7 +94,7 @@ TEST_F(TraceTest, FlushTwiceProducesTwoConsistentFiles) {
 
 TEST_F(TraceTest, DisablingDropsTheBuffer) {
   set_trace_path(temp_path("trace_test_drop.json"));
-  trace_instant("test.dropped");
+  trace_counter("test.dropped", 1.0);
   EXPECT_EQ(trace_event_count(), 1u);
   set_trace_path("");
   EXPECT_FALSE(trace_enabled());
@@ -114,7 +108,7 @@ TEST_F(TraceTest, RingWrapKeepsTheTailAndCountsDrops) {
   const std::size_t capacity = std::size_t{1} << 16;  // kRingCapacity
   const std::size_t extra = 100;
   for (std::size_t i = 0; i < capacity + extra; ++i) {
-    trace_instant(i < extra ? "test.old" : "test.new");
+    trace_counter(i < extra ? "test.old" : "test.new", 1.0);
   }
   EXPECT_EQ(trace_event_count(), capacity);
   EXPECT_EQ(trace_dropped_events(), extra);
@@ -132,7 +126,7 @@ TEST_F(TraceTest, RingWrapKeepsTheTailAndCountsDrops) {
 
 TEST_F(TraceTest, FlushThrowsOnUnwritablePath) {
   set_trace_path("/nonexistent_dir_for_trace_test/out.json");
-  trace_instant("test.unwritable");
+  trace_counter("test.unwritable", 1.0);
   EXPECT_THROW(flush_trace(), std::runtime_error);
 }
 

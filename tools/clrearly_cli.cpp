@@ -20,11 +20,14 @@
 // (io/serialize format). Architecture specs: "default" or a .json path.
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -92,19 +95,16 @@ bool apply_common(util::ArgParser& parser,
   return true;
 }
 
-// Spec-string resolution lives in the library (io/serialize, core/scenario)
-// so the serve daemon's wire format and the CLI accept the same spellings
-// and build bit-identical models.
-app::Application resolve_app(const std::string& spec) {
-  return io::resolve_application(spec);
-}
-
-platform::Architecture resolve_arch(const std::string& spec) {
-  return io::resolve_architecture(spec);
-}
-
-reliability::TaskAnalyzer resolve_analyzer(double env_factor) {
-  return core::make_condition_analyzer(env_factor);
+/// --name as an int no larger than `max`. Checked before the narrowing cast,
+/// which would otherwise wrap an out-of-range value into a valid-looking one.
+int get_int_at_most(const util::ArgParser& parser, const std::string& name,
+                    int max) {
+  const std::uint64_t value = parser.get_uint(name);
+  if (value > static_cast<std::uint64_t>(max)) {
+    throw std::invalid_argument("option --" + name + " must be at most " +
+                                std::to_string(max));
+  }
+  return static_cast<int>(value);
 }
 
 int cmd_generate(const std::vector<std::string>& args) {
@@ -135,8 +135,10 @@ int cmd_info(const std::vector<std::string>& args) {
       .option("dot", "write the task graph as Graphviz DOT to this path", "");
   if (!apply_common(parser, args)) return 0;
 
-  const app::Application application = resolve_app(parser.get("app"));
-  const platform::Architecture arch = resolve_arch(parser.get("arch"));
+  const app::Application application =
+      io::resolve_application(parser.get("app"));
+  const platform::Architecture arch =
+      io::resolve_architecture(parser.get("arch"));
 
   std::printf("application %s: %zu tasks, %zu types, %zu edges, period %.0f us\n",
               application.name.c_str(), application.graph.num_tasks(),
@@ -182,11 +184,14 @@ int cmd_tdse(const std::vector<std::string>& args) {
       .option("csv", "write Pareto points to this CSV", "");
   if (!apply_common(parser, args)) return 0;
 
-  const app::Application application = resolve_app(parser.get("app"));
-  const platform::Architecture arch = resolve_arch(parser.get("arch"));
-  const core::Tdse tdse(resolve_analyzer(parser.get_number("env")));
+  const app::Application application =
+      io::resolve_application(parser.get("app"));
+  const platform::Architecture arch =
+      io::resolve_architecture(parser.get("arch"));
+  const core::Tdse tdse(
+      core::make_condition_analyzer(parser.get_number("env")));
   const core::TdseObjectives objectives = core::TdseObjectives::table4_row(
-      static_cast<int>(parser.get_uint("objectives")));
+      get_int_at_most(parser, "objectives", std::numeric_limits<int>::max()));
 
   const auto results = tdse.run_application(application, arch, objectives);
   util::TextTable table;
@@ -243,10 +248,12 @@ int cmd_dse(const std::vector<std::string>& args) {
       .flag("gantt", "print the fastest design's schedule");
   if (!apply_common(parser, args)) return 0;
 
-  const app::Application application = resolve_app(parser.get("app"));
-  const platform::Architecture arch = resolve_arch(parser.get("arch"));
+  const app::Application application =
+      io::resolve_application(parser.get("app"));
+  const platform::Architecture arch =
+      io::resolve_architecture(parser.get("arch"));
   const reliability::TaskAnalyzer analyzer =
-      resolve_analyzer(parser.get_number("env"));
+      core::make_condition_analyzer(parser.get_number("env"));
   const core::DseMethodology dse(application, arch, analyzer);
 
   core::DseOptions options;
@@ -348,10 +355,12 @@ int cmd_simulate(const std::vector<std::string>& args) {
       .option("csv", "write the comparison report to this CSV", "");
   if (!apply_common(parser, args)) return 0;
 
-  const app::Application application = resolve_app(parser.get("app"));
-  const platform::Architecture arch = resolve_arch(parser.get("arch"));
+  const app::Application application =
+      io::resolve_application(parser.get("app"));
+  const platform::Architecture arch =
+      io::resolve_architecture(parser.get("arch"));
   const reliability::TaskAnalyzer analyzer =
-      resolve_analyzer(parser.get_number("env"));
+      core::make_condition_analyzer(parser.get_number("env"));
   const core::DseMethodology dse(application, arch, analyzer);
 
   core::DseOptions options;
@@ -446,8 +455,10 @@ int cmd_check(const std::vector<std::string>& args) {
       .option("max-makespan", "makespan limit in us (0 disables)", "0");
   if (!apply_common(parser, args)) return 0;
 
-  const app::Application application = resolve_app(parser.get("app"));
-  const platform::Architecture arch = resolve_arch(parser.get("arch"));
+  const app::Application application =
+      io::resolve_application(parser.get("app"));
+  const platform::Architecture arch =
+      io::resolve_architecture(parser.get("arch"));
   sched::QosSpec spec;
   if (parser.get_number("min-frel") > 0.0) {
     spec.min_functional_rel = parser.get_number("min-frel");
@@ -457,7 +468,8 @@ int cmd_check(const std::vector<std::string>& args) {
   }
 
   const core::FeasibilityReport report = core::assess_feasibility(
-      application, arch, resolve_analyzer(parser.get_number("env")), spec);
+      application, arch,
+      core::make_condition_analyzer(parser.get_number("env")), spec);
 
   util::TextTable table;
   table.header({"layer(s)", "max Fapp", "min makespan (us)",
@@ -587,11 +599,11 @@ int cmd_serve(const std::vector<std::string>& args) {
 
   server::ServerOptions server_options;
   server_options.host = parser.get("host");
-  server_options.port = static_cast<int>(parser.get_uint("port"));
+  server_options.port = get_int_at_most(parser, "port", 65535);
   server_options.max_requests_per_connection =
       parser.get_uint("keepalive-requests");
-  server_options.idle_timeout_ms =
-      static_cast<int>(parser.get_uint("idle-timeout-ms"));
+  server_options.idle_timeout_ms = get_int_at_most(
+      parser, "idle-timeout-ms", std::numeric_limits<int>::max());
   server::HttpServer http(service, server_options);
 
   // A daemon drains on SIGINT/SIGTERM instead of dying mid-job; this
