@@ -17,6 +17,10 @@ Dispatches on the top-level "benchmark" id:
   graph size a positive wall time, the full pop x (gens + 1) evaluation
   budget, and a hypervolume curve with monotone evaluation counts that
   ends at the run's budget and final hypervolume.
+* "sim_validation" (bench_sim_validation) — the Monte Carlo validation
+  report: the full key set, a positive trial count per point, results
+  bit-identical at 1 and 4 threads, and at least 90% of the design points
+  agreeing with the analytic QoS.
 
 For chain_kernel the contract CI archives and the docs describe:
 
@@ -313,11 +317,33 @@ def check_scale(report: dict) -> str:
         f"hv {entry['hypervolume']:.4g}" for entry in sizes)
 
 
+def check_sim_validation(report: dict) -> str:
+    for key in ("application", "trials_per_point", "sim_seed", "flows",
+                "design_points", "makespan_agreement", "error_agreement",
+                "agreement", "deterministic", "trials_per_sec_serial",
+                "trials_per_sec_parallel"):
+        if key not in report:
+            fail(f"missing top-level key '{key}'")
+    if report["trials_per_point"] <= 0:
+        fail(f"no trials ran (trials_per_point={report['trials_per_point']})")
+    if report["deterministic"] is not True:
+        fail("simulation diverged across thread counts (deterministic=false)")
+    if report["agreement"] < 0.9:
+        fail(f"analytic/simulated agreement {report['agreement']:.3f} "
+             "below 0.9")
+    return (
+        f"{report['design_points']} design points at "
+        f"{report['trials_per_point']} trials, agreement "
+        f"{100 * report['agreement']:.0f}%"
+    )
+
+
 CHECKERS = {
     "chain_kernel": check_chain_kernel,
     "serve": check_serve,
     "resilience": check_resilience,
     "scale": check_scale,
+    "sim_validation": check_sim_validation,
 }
 
 

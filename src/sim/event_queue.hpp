@@ -6,8 +6,10 @@
 // insertion sequence as the tie-break: two events at the same timestamp pop
 // in the order they were pushed, on every platform and at every thread
 // count. (time, sequence) is a strict total order, so the pop sequence does
-// not depend on the heap's internals — that is what makes whole-simulation
-// runs bit-identical for a fixed seed.
+// not depend on the heap's internals. sim::simulate queues only data
+// arrivals that land after the timestamp that produced them (it tracks
+// completions per PE), and applies every event of a timestamp before it
+// dispatches, so its results depend only on the time order.
 #pragma once
 
 #include <algorithm>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <stdexcept>
@@ -22,6 +23,14 @@ namespace {
 
 constexpr std::size_t kUnavailable = static_cast<std::size_t>(-1);
 
+/// Workspace::running entry of a PE with no task running.
+constexpr std::size_t kIdle = static_cast<std::size_t>(-1);
+
+/// Trials per parallel_for index. One thread runs a whole block, so it alone
+/// writes that run of adjacent outcome slots, and one workspace serves all of
+/// the block's trials.
+constexpr std::size_t kTrialsPerBlock = 64;
+
 /// Everything one trial contributes to the aggregate — written to slot
 /// `trial` of a pre-sized vector, so parallel execution is bit-identical to
 /// serial (the ThreadPool per-index contract).
@@ -37,81 +46,154 @@ struct TrialOutcome {
   bool deadline_miss = false;
 };
 
+/// The trial-invariant inputs of one simulate() call.
+struct TrialContext {
+  const app::TaskGraph& graph;
+  const platform::Interconnect& interconnect;
+  bool models_communication = false;
+  std::vector<std::size_t> pred_count;  ///< per task
+  /// Successor lists, flattened: task t's are succ[succ_begin[t]] up to
+  /// succ[succ_begin[t + 1]], in TaskGraph::successors() order.
+  std::vector<std::size_t> succ_begin;
+  std::vector<std::size_t> succ;
+  std::vector<double> zeta;  ///< normalized criticality per task
+  std::size_t num_pes = 0;
+  double deadline_us = 0.0;
+};
+
+/// One variant's per-task samplers, PEs and priority ranks.
+struct VariantPlan {
+  const SimVariant& variant;
+  std::vector<TaskSampler> samplers;
+  std::vector<std::size_t> pe;    ///< PE of each task
+  std::vector<std::size_t> rank;  ///< position of each task in priority_order
+};
+
+/// The scratch state of one block of trials. Every trial resets what it
+/// reads and leaves the ready heaps and the event queue empty, so after the
+/// first trial of a block no trial allocates.
+struct Workspace {
+  Workspace(std::size_t num_tasks, std::size_t num_pes)
+      : draws(num_tasks),
+        pending(num_tasks),
+        arrival(num_tasks),
+        busy_until(num_pes),
+        running(num_pes),
+        ready(num_pes),
+        mask(num_pes) {}
+
+  std::vector<TaskTrial> draws;
+  std::vector<std::size_t> pending;
+  std::vector<double> arrival;
+  /// Each PE's running task (kIdle when none) and its end time: the trial's
+  /// pending completions.
+  std::vector<double> busy_until;
+  std::vector<std::size_t> running;
+  /// Per-PE min-heaps of the priority ranks of ready tasks.
+  std::vector<std::vector<std::size_t>> ready;
+  /// Data arrivals later than the timestamp that produced them.
+  EventQueue queue;
+  std::vector<char> mask;  ///< the drawn PE-failure set of a failure trial
+};
+
 /// One full application run: sample every task's trial, then execute the
 /// graph event-by-event.
-TrialOutcome run_trial(const app::TaskGraph& graph,
-                       const platform::Interconnect& interconnect,
-                       const std::vector<SimTask>& tasks,
-                       const std::vector<TaskSampler>& samplers,
-                       const std::vector<std::size_t>& rank,
-                       const std::vector<double>& zeta, std::size_t num_pes,
-                       double deadline_us, util::Rng& rng) {
-  const std::size_t n = tasks.size();
+TrialOutcome run_trial(const TrialContext& ctx, const VariantPlan& plan,
+                       Workspace& ws, util::Rng& rng) {
+  const std::size_t n = plan.samplers.size();
 
   // The fault process of a task is independent of when it runs, so all task
   // trials are drawn up front in task-id order — one fixed draw order per
   // stream, regardless of how the schedule unfolds.
-  std::vector<TaskTrial> draws(n);
-  for (std::size_t t = 0; t < n; ++t) draws[t] = samplers[t].sample(rng);
+  for (std::size_t t = 0; t < n; ++t) {
+    ws.draws[t] = plan.samplers[t].sample(rng);
+  }
 
   TrialOutcome out;
   for (std::size_t t = 0; t < n; ++t) {
-    out.energy_uj += draws[t].exec_time_us * tasks[t].power_w;
-    out.faults += static_cast<double>(draws[t].faults);
-    out.rollbacks += static_cast<double>(draws[t].rollbacks);
-    if (draws[t].corrupted) out.error_weight += zeta[t];
+    out.energy_uj += ws.draws[t].exec_time_us * plan.variant.tasks[t].power_w;
+    out.faults += static_cast<double>(ws.draws[t].faults);
+    out.rollbacks += static_cast<double>(ws.draws[t].rollbacks);
+    if (ws.draws[t].corrupted) out.error_weight += ctx.zeta[t];
   }
 
   // Self-timed execution: tasks dispatch when their data has arrived and
-  // their PE is free, lowest priority rank first.
-  EventQueue queue;
-  std::vector<std::size_t> pending(n);
-  std::vector<double> arrival(n, 0.0);
-  for (std::size_t t = 0; t < n; ++t) {
-    pending[t] = graph.predecessors(t).size();
-    if (pending[t] == 0) queue.push({0.0, EventKind::kDataReady, t});
-  }
-  std::vector<bool> pe_idle(num_pes, true);
-  std::vector<std::vector<std::size_t>> ready(num_pes);
-
-  while (!queue.empty()) {
-    const double now = queue.next_time_us();
-    // Drain every event at this timestamp before dispatching, so the set of
-    // ready tasks a PE chooses from never depends on event pop order.
-    while (!queue.empty() && queue.next_time_us() == now) {
-      const Event event = queue.pop();
-      if (event.kind == EventKind::kComplete) {
-        pe_idle[tasks[event.task].pe] = true;
-        out.makespan_us = std::max(out.makespan_us, now);
-        for (std::size_t succ : graph.successors(event.task)) {
-          arrival[succ] = std::max(
-              arrival[succ],
-              sched::data_arrival_us(graph, interconnect, event.task, succ,
-                                     now, tasks[event.task].pe,
-                                     tasks[succ].pe));
-          if (--pending[succ] == 0) {
-            queue.push({arrival[succ], EventKind::kDataReady, succ});
-          }
-        }
+  // their PE is free, lowest priority rank first. A task whose data arrives
+  // at the current timestamp goes straight into its PE's ready heap; only
+  // transfers that land later pass through the event queue.
+  ws.pending = ctx.pred_count;
+  std::fill(ws.arrival.begin(), ws.arrival.end(), 0.0);
+  std::fill(ws.running.begin(), ws.running.end(), kIdle);
+  ws.queue.clear();
+  const auto make_ready = [&](std::size_t task) {
+    std::vector<std::size_t>& heap = ws.ready[plan.pe[task]];
+    heap.push_back(plan.rank[task]);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+  };
+  const auto complete = [&](std::size_t task, double now) {
+    const std::size_t pe = plan.pe[task];
+    ws.running[pe] = kIdle;
+    out.makespan_us = std::max(out.makespan_us, now);
+    for (std::size_t k = ctx.succ_begin[task]; k < ctx.succ_begin[task + 1];
+         ++k) {
+      const std::size_t succ = ctx.succ[k];
+      const double data_at =
+          ctx.models_communication
+              ? sched::data_arrival_us(ctx.graph, ctx.interconnect, task,
+                                       succ, now, pe, plan.pe[succ])
+              : now;
+      ws.arrival[succ] = std::max(ws.arrival[succ], data_at);
+      if (--ws.pending[succ] != 0) continue;
+      if (ws.arrival[succ] == now) {
+        make_ready(succ);
       } else {
-        ready[tasks[event.task].pe].push_back(event.task);
+        ws.queue.push({ws.arrival[succ], EventKind::kDataReady, succ});
       }
     }
-    for (std::size_t p = 0; p < num_pes; ++p) {
-      if (!pe_idle[p] || ready[p].empty()) continue;
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < ready[p].size(); ++i) {
-        if (rank[ready[p][i]] < rank[ready[p][best]]) best = i;
+  };
+
+  for (std::size_t t = 0; t < n; ++t) {
+    if (ws.pending[t] == 0) make_ready(t);
+  }
+  for (double now = 0.0;;) {
+    // Every idle PE starts its lowest-rank ready task; the next timestamp
+    // is the earliest end time or queued arrival.
+    bool pending_event = !ws.queue.empty();
+    double next = pending_event ? ws.queue.next_time_us()
+                                : std::numeric_limits<double>::infinity();
+    for (std::size_t p = 0; p < ctx.num_pes; ++p) {
+      std::vector<std::size_t>& heap = ws.ready[p];
+      if (ws.running[p] == kIdle && !heap.empty()) {
+        std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+        const std::size_t task = plan.variant.priority_order[heap.back()];
+        heap.pop_back();
+        ws.running[p] = task;
+        ws.busy_until[p] = now + ws.draws[task].exec_time_us;
       }
-      const std::size_t task = ready[p][best];
-      ready[p][best] = ready[p].back();
-      ready[p].pop_back();
-      pe_idle[p] = false;
-      queue.push({now + draws[task].exec_time_us, EventKind::kComplete, task});
+      if (ws.running[p] != kIdle) {
+        pending_event = true;
+        next = std::min(next, ws.busy_until[p]);
+      }
+    }
+    if (!pending_event) break;
+    now = next;
+    // Apply every event at this timestamp before the next dispatch. Each
+    // step is a max, a decrement, a PE release or a ready-heap insertion,
+    // and these commute, so the ready set a PE chooses from never depends
+    // on the order the events are applied in.
+    for (std::size_t p = 0; p < ctx.num_pes; ++p) {
+      if (ws.running[p] != kIdle && ws.busy_until[p] == now) {
+        complete(ws.running[p], now);
+      }
+    }
+    while (!ws.queue.empty() && ws.queue.next_time_us() == now) {
+      make_ready(ws.queue.pop().task);
     }
   }
 
-  if (deadline_us > 0.0) out.deadline_miss = out.makespan_us > deadline_us;
+  if (ctx.deadline_us > 0.0) {
+    out.deadline_miss = out.makespan_us > ctx.deadline_us;
+  }
   return out;
 }
 
@@ -140,6 +222,22 @@ bool sim_results_identical(const SimResult& a, const SimResult& b) noexcept {
          a.variant_trials == b.variant_trials;
 }
 
+void SimOptions::validate() const {
+  if (trials == 0) {
+    throw std::invalid_argument("simulate: trials must be positive");
+  }
+  if (!(deadline_us >= 0.0 && std::isfinite(deadline_us))) {
+    throw std::invalid_argument(
+        "simulate: deadline must be finite and non-negative");
+  }
+  for (double q : pe_failure_prob) {
+    if (!(q >= 0.0 && q <= 1.0)) {
+      throw std::invalid_argument(
+          "simulate: PE failure probability outside [0, 1]");
+    }
+  }
+}
+
 SimResult simulate(const app::TaskGraph& graph,
                    const platform::Architecture& architecture,
                    const std::vector<SimVariant>& variants,
@@ -154,25 +252,17 @@ SimResult simulate(const app::TaskGraph& graph,
     throw std::invalid_argument(
         "simulate: several variants need pe_failure_prob");
   }
-  if (options.trials == 0) {
-    throw std::invalid_argument("simulate: trials must be positive");
-  }
+  options.validate();
   if (!nominal && options.pe_failure_prob.size() != num_pes) {
     throw std::invalid_argument(
         "simulate: PE failure probability count mismatch");
-  }
-  for (double q : options.pe_failure_prob) {
-    if (!(q >= 0.0 && q <= 1.0)) {
-      throw std::invalid_argument(
-          "simulate: PE failure probability outside [0, 1]");
-    }
   }
 
   // One validation pass per variant, precomputing its rank vector and
   // samplers; plus the mask table failure trials dispatch on.
   std::map<std::vector<char>, std::size_t> variant_of_mask;
-  std::vector<std::vector<std::size_t>> ranks(variants.size());
-  std::vector<std::vector<TaskSampler>> samplers(variants.size());
+  std::vector<VariantPlan> plans;
+  plans.reserve(variants.size());
   for (std::size_t v = 0; v < variants.size(); ++v) {
     const SimVariant& variant = variants[v];
     std::vector<char> mask = variant.failed;
@@ -191,16 +281,18 @@ SimResult simulate(const app::TaskGraph& graph,
     if (variant.priority_order.size() != n) {
       throw std::invalid_argument("simulate: priority order size mismatch");
     }
-    ranks[v].assign(n, n);
+    VariantPlan& plan = plans.emplace_back(VariantPlan{variant, {}, {}, {}});
+    plan.rank.assign(n, n);
     for (std::size_t pos = 0; pos < n; ++pos) {
       const std::size_t task = variant.priority_order[pos];
-      if (task >= n || ranks[v][task] != n) {
+      if (task >= n || plan.rank[task] != n) {
         throw std::invalid_argument(
             "simulate: priority order is not a permutation of task ids");
       }
-      ranks[v][task] = pos;
+      plan.rank[task] = pos;
     }
-    samplers[v].reserve(n);
+    plan.samplers.reserve(n);
+    plan.pe.reserve(n);
     for (const SimTask& task : variant.tasks) {
       if (task.pe >= num_pes) {
         throw std::invalid_argument("simulate: PE index out of range");
@@ -210,7 +302,8 @@ SimResult simulate(const app::TaskGraph& graph,
             "simulate: variant maps a task onto a PE its own failure mask "
             "kills");
       }
-      samplers[v].emplace_back(task.chain);  // validates the chain parameters
+      plan.samplers.emplace_back(task.chain);  // validates the chain params
+      plan.pe.push_back(task.pe);
     }
     if (!variant_of_mask.emplace(std::move(mask), v).second) {
       throw std::invalid_argument("simulate: duplicate failure mask");
@@ -219,8 +312,23 @@ SimResult simulate(const app::TaskGraph& graph,
   // Reject cyclic graphs up front instead of stalling trials.
   (void)graph.topological_order();
 
-  const std::vector<double> zeta = graph.normalized_criticality();
   const platform::Interconnect& interconnect = architecture.interconnect();
+  TrialContext ctx{graph,
+                   interconnect,
+                   interconnect.models_communication(),
+                   {},
+                   {},
+                   {},
+                   graph.normalized_criticality(),
+                   num_pes,
+                   options.deadline_us};
+  for (std::size_t t = 0; t < n; ++t) {
+    ctx.pred_count.push_back(graph.predecessors(t).size());
+    ctx.succ_begin.push_back(ctx.succ.size());
+    const std::vector<std::size_t>& succs = graph.successors(t);
+    ctx.succ.insert(ctx.succ.end(), succs.begin(), succs.end());
+  }
+  ctx.succ_begin.push_back(ctx.succ.size());
 
   // One child stream per trial, split off serially — stream i is the same
   // object no matter which thread later consumes it. Inside each stream the
@@ -235,25 +343,31 @@ SimResult simulate(const app::TaskGraph& graph,
   }
 
   std::vector<TrialOutcome> outcomes(options.trials);
+  const std::size_t blocks =
+      (options.trials + kTrialsPerBlock - 1) / kTrialsPerBlock;
   const auto t0 = std::chrono::steady_clock::now();
   {
     const util::TraceSpan span("sim.trial_batch");
-    util::parallel_for(options.trials, [&](std::size_t i) {
-      util::Rng& rng = streams[i];
-      std::size_t v = 0;
-      if (!nominal) {
-        std::vector<char> mask(num_pes, 0);
-        for (std::size_t p = 0; p < num_pes; ++p) {
-          mask[p] = rng.uniform() < options.pe_failure_prob[p] ? 1 : 0;
+    util::parallel_for(blocks, [&](std::size_t block) {
+      Workspace ws(n, num_pes);
+      const std::size_t end =
+          std::min(options.trials, (block + 1) * kTrialsPerBlock);
+      for (std::size_t i = block * kTrialsPerBlock; i < end; ++i) {
+        // A local copy: drawing through streams[i] would write its state
+        // back into a slot next to other threads' streams.
+        util::Rng rng = streams[i];
+        std::size_t v = 0;
+        if (!nominal) {
+          for (std::size_t p = 0; p < num_pes; ++p) {
+            ws.mask[p] = rng.uniform() < options.pe_failure_prob[p] ? 1 : 0;
+          }
+          const auto it = variant_of_mask.find(ws.mask);
+          if (it == variant_of_mask.end()) continue;  // unavailable
+          v = it->second;
         }
-        const auto it = variant_of_mask.find(mask);
-        if (it == variant_of_mask.end()) return;  // unavailable: nothing runs
-        v = it->second;
+        outcomes[i] = run_trial(ctx, plans[v], ws, rng);
+        outcomes[i].variant = v;
       }
-      outcomes[i] =
-          run_trial(graph, interconnect, variants[v].tasks, samplers[v],
-                    ranks[v], zeta, num_pes, options.deadline_us, rng);
-      outcomes[i].variant = v;
     });
   }
   const double elapsed_s =

@@ -15,10 +15,11 @@
 // The same driver injects permanent PE losses for k-resilient designs
 // (docs/RESILIENCE.md).
 //
-// Determinism: trial i consumes the i-th child stream split off the seed's
-// root RNG, trials write per-index slots under util::parallel_for, and all
-// DES ties break on insertion order — so a (seed, trials) pair produces
-// bit-identical SimResults at any thread count.
+// Determinism: trial i draws from the i-th child stream split off the
+// seed's root RNG, trials run in fixed blocks under util::parallel_for and
+// write per-trial slots, and every event of a timestamp is applied before
+// any PE dispatches its lowest-rank ready task — so a (seed, trials) pair
+// produces bit-identical SimResults at any thread count.
 #pragma once
 
 #include <cstddef>
@@ -55,12 +56,18 @@ struct SimVariant {
 struct SimOptions {
   std::size_t trials = 10000;
   std::uint64_t seed = 1;
-  /// Deadline for per-trial miss accounting; <= 0 disables it.
+  /// Deadline for per-trial miss accounting; 0 disables it. Must be finite
+  /// and non-negative.
   double deadline_us = 0.0;
   /// Mission loss probability per PE (size = PE count) — the
   /// core::pe_failure_probabilities() Weibull CDF values. Empty = a nominal
   /// run: one variant, no permanent PE losses.
   std::vector<double> pe_failure_prob;
+
+  /// The checks that need no graph or architecture: throws
+  /// std::invalid_argument for zero trials, a negative or non-finite
+  /// deadline, or a failure probability outside [0, 1].
+  void validate() const;
 };
 
 /// Monte Carlo estimates with 95% confidence intervals. Every field except
@@ -135,7 +142,7 @@ bool sim_results_identical(const SimResult& a, const SimResult& b) noexcept;
 ///
 /// Throws std::invalid_argument on malformed inputs: count and size
 /// mismatches, a non-permutation priority order, PE indices out of range,
-/// zero trials, a cyclic graph, probabilities outside [0, 1], a mask of the
+/// options SimOptions::validate() rejects, a cyclic graph, a mask of the
 /// wrong size, a non-zero mask on variant 0, duplicate masks, a variant that
 /// maps a task onto a PE its own mask kills, or several variants without
 /// `pe_failure_prob`; and like ClrChainParams::validate() on bad chain

@@ -9,6 +9,12 @@ namespace clrearly::sim {
 TaskSampler::TaskSampler(reliability::ClrChainParams params)
     : params_(std::move(params)) {
   params_.validate();
+  intervals_.reserve(params_.intervals);
+  for (std::size_t i = 0; i < params_.intervals; ++i) {
+    const double t_ici = params_.interval_time(i);
+    intervals_.push_back(
+        {t_ici, 1.0 - std::exp(-params_.lambda_per_us * t_ici)});
+  }
 }
 
 TaskTrial TaskSampler::sample(util::Rng& rng) const noexcept {
@@ -17,9 +23,9 @@ TaskTrial TaskSampler::sample(util::Rng& rng) const noexcept {
   constexpr std::size_t kMaxAttemptsPerInterval = 1'000'000;
 
   TaskTrial trial;
-  for (std::size_t i = 0; i < params_.intervals; ++i) {
-    const double t_ici = params_.interval_time(i);
-    const double p_fault = 1.0 - std::exp(-params_.lambda_per_us * t_ici);
+  for (std::size_t i = 0; i < intervals_.size(); ++i) {
+    const double t_ici = intervals_[i].time_us;
+    const double p_fault = intervals_[i].p_fault;
 
     bool interval_done = false;
     for (std::size_t attempt = 0;
@@ -64,7 +70,7 @@ TaskTrial TaskSampler::sample(util::Rng& rng) const noexcept {
     }
 
     // Checkpoint between intervals.
-    if (i + 1 < params_.intervals) {
+    if (i + 1 < intervals_.size()) {
       trial.exec_time_us += params_.checkpoint_time_us;
       if (rng.bernoulli(params_.checkpoint_error_prob)) {
         trial.corrupted = true;  // snapshot corrupted (Fig. 3b dotted edge)

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "reliability/clr_chain_builder.hpp"
 #include "util/rng.hpp"
@@ -30,7 +31,8 @@ struct TaskTrial {
 };
 
 /// Samples TaskTrials for one (implementation, PE, CLR configuration)
-/// triple. Validates the parameters once at construction; sample() is then
+/// triple. Validates the parameters and precomputes every interval's length
+/// and fault probability once at construction; sample() is then
 /// allocation-free and cheap enough to call millions of times.
 class TaskSampler {
  public:
@@ -48,7 +50,15 @@ class TaskSampler {
   }
 
  private:
+  /// One inter-checkpoint interval: its useful execution time and the
+  /// probability that a fault arrives during it.
+  struct Interval {
+    double time_us = 0.0;
+    double p_fault = 0.0;
+  };
+
   reliability::ClrChainParams params_;
+  std::vector<Interval> intervals_;  ///< one per ICI, in execution order
 };
 
 /// Aggregate statistics of many simulated executions of one task.

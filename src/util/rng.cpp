@@ -1,6 +1,5 @@
 #include "util/rng.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -16,10 +15,6 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -28,23 +23,6 @@ Rng::Rng(std::uint64_t seed) {
   // xoshiro requires a nonzero state; splitmix64 output of four consecutive
   // draws being all-zero cannot happen, but keep the guard for clarity.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next_u64() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  // 53 high bits -> double in [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) noexcept {
@@ -64,11 +42,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
 std::size_t Rng::index(std::size_t n) noexcept {
   return static_cast<std::size_t>(
       uniform_int(0, static_cast<std::int64_t>(n) - 1));
-}
-
-bool Rng::bernoulli(double p) noexcept {
-  const double pc = std::clamp(p, 0.0, 1.0);
-  return uniform() < pc;
 }
 
 double Rng::normal() noexcept {

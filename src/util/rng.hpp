@@ -7,6 +7,8 @@
 // and trivially fork-able for independent sub-streams.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -19,11 +21,27 @@ class Rng {
   /// impossible by construction).
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
+  // next_u64(), uniform() and bernoulli() are defined inline: the Monte
+  // Carlo trial loop calls them millions of times per simulation.
+
   /// Next raw 64-bit draw.
-  std::uint64_t next_u64() noexcept;
+  std::uint64_t next_u64() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
-  double uniform() noexcept;
+  double uniform() noexcept {
+    // 53 high bits -> double in [0, 1).
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) noexcept;
@@ -35,7 +53,9 @@ class Rng {
   std::size_t index(std::size_t n) noexcept;
 
   /// Bernoulli draw with success probability p (clamped to [0, 1]).
-  bool bernoulli(double p) noexcept;
+  bool bernoulli(double p) noexcept {
+    return uniform() < std::clamp(p, 0.0, 1.0);
+  }
 
   /// Standard normal via Box-Muller.
   double normal() noexcept;

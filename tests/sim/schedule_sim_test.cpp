@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <charconv>
+#include <cmath>
 #include <cstddef>
 #include <fstream>
 #include <sstream>
@@ -107,6 +108,19 @@ TEST(ScheduleSimTest, ValidatesInputs) {
   no_trials.trials = 0;
   EXPECT_THROW(simulate_nominal(graph, arch, tasks, order, no_trials),
                std::invalid_argument);
+  // Negative or non-finite deadlines; 0 disables the deadline.
+  for (const double deadline : {-5.0, -0.5, std::nan(""), -std::nan(""),
+                                HUGE_VAL, -HUGE_VAL}) {
+    SimOptions bad_deadline = options;
+    bad_deadline.deadline_us = deadline;
+    EXPECT_THROW(simulate_nominal(graph, arch, tasks, order, bad_deadline),
+                 std::invalid_argument)
+        << deadline;
+    EXPECT_THROW(bad_deadline.validate(), std::invalid_argument) << deadline;
+  }
+  SimOptions no_deadline = options;
+  no_deadline.deadline_us = 0.0;
+  EXPECT_NO_THROW(simulate_nominal(graph, arch, tasks, order, no_deadline));
   // Bad chain parameters surface through the sampler's validation.
   std::vector<SimTask> bad_chain = tasks;
   bad_chain[0].chain.exec_time_us = -1.0;

@@ -355,6 +355,13 @@ int cmd_simulate(const std::vector<std::string>& args) {
       .option("csv", "write the comparison report to this CSV", "");
   if (!apply_common(parser, args)) return 0;
 
+  // Checked before the flow runs, so a bad option fails fast.
+  sim::SimOptions sim_options;
+  sim_options.trials = parser.get_uint("trials");
+  sim_options.seed = parser.get_uint("sim-seed");
+  sim_options.deadline_us = parser.get_number("deadline");
+  sim_options.validate();
+
   const app::Application application =
       io::resolve_application(parser.get("app"));
   const platform::Architecture arch =
@@ -397,10 +404,6 @@ int cmd_simulate(const std::vector<std::string>& args) {
     return 1;
   }
 
-  sim::SimOptions sim_options;
-  sim_options.trials = parser.get_uint("trials");
-  sim_options.seed = parser.get_uint("sim-seed");
-  sim_options.deadline_us = parser.get_number("deadline");
   std::size_t count = outcome.front_genomes.size();
   if (parser.get_uint("points") > 0) {
     count = std::min<std::size_t>(count, parser.get_uint("points"));
